@@ -172,7 +172,7 @@ def _parse_rect(text) -> ScreenRect:
 
 
 def _stop_criterion(args, schedule) -> StoppingCriterion:
-    if args.max_outer:
+    if args.max_outer is not None:
         return StoppingCriterion(q_test=args.q_test, max_outer_iterations=args.max_outer)
     return default_stop(schedule, q_test=args.q_test)
 

@@ -19,15 +19,21 @@ Manifest: one declaration per line, space-separated tokens.
     layer maxpool2x2
     layer avgpool_global
     layer flatten
-    layer dense out=<o> in=<i> w=<off>:<len> b=<off>:<len>
+    layer dense out=<o> in=<i> w=<byte offset>:<byte length> \
+          b=<byte offset>:<byte length>
     blob_bytes <total blob length>
 
-Offsets index into the weight blob. Weight arrays are stored in C order:
-conv2d as (out, in, kh, kw), dense as (out, in). The round trip is
-bit-exact: load(save(m)) reproduces every weight and every field.
+A layer line carries exactly the keys shown for its kind, each once, in
+any order; the table LAYER_FORMATS below defines them. Every integer is a
+plain non-negative decimal. Offsets index into the weight blob. Weight
+arrays are stored in C order: conv2d as (out, in, kh, kw), dense as
+(out, in). The round trip is bit-exact: load(save(m)) reproduces every
+weight and every field.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -36,6 +42,19 @@ from .nn import Conv2d, Dense, Flatten, GlobalAvgPool, MaxPool2x2, Model, Relu
 
 MAGIC = b"GBXM"
 VERSION = 1
+
+
+# The layer format: kind -> (layer class, keys of the weight dimensions in
+# order, {key: field} of the extra integer fields). A kind with weight
+# dimensions also carries the spans w= and b=, after the other keys.
+LAYER_FORMATS = {
+    "conv2d": (Conv2d, ("out", "in", "kh", "kw"), {"stride": "stride", "pad": "padding"}),
+    "relu": (Relu, (), {}),
+    "maxpool2x2": (MaxPool2x2, (), {}),
+    "avgpool_global": (GlobalAvgPool, (), {}),
+    "flatten": (Flatten, (), {}),
+    "dense": (Dense, ("out", "in"), {}),
+}
 
 
 def save_model(model: Model, path) -> None:
@@ -60,18 +79,12 @@ def save_model(model: Model, path) -> None:
         return f"{start}:{len(raw)}"
 
     for layer in model.layers:
-        if isinstance(layer, Conv2d):
-            oc, ic, kh, kw = layer.weight.shape
-            lines.append(
-                f"layer conv2d out={oc} in={ic} kh={kh} kw={kw} "
-                f"stride={layer.stride} pad={layer.padding} "
-                f"w={push(layer.weight)} b={push(layer.bias)}"
-            )
-        elif isinstance(layer, Dense):
-            o, i = layer.weight.shape
-            lines.append(f"layer dense out={o} in={i} w={push(layer.weight)} b={push(layer.bias)}")
-        else:
-            lines.append(f"layer {layer.kind}")
+        _, dims, ints = LAYER_FORMATS[layer.kind]
+        values = dict(zip(dims, layer.weight.shape)) if dims else {}
+        values.update((key, getattr(layer, name)) for key, name in ints.items())
+        if dims:
+            values.update(w=push(layer.weight), b=push(layer.bias))
+        lines.append(" ".join([f"layer {layer.kind}"] + [f"{k}={v}" for k, v in values.items()]))
     lines.append(f"blob_bytes {offset}")
     manifest = ("\n".join(lines) + "\n").encode("utf-8")
     with open(path, "wb") as f:
@@ -148,62 +161,47 @@ def _one_token(tokens, lineno):
 
 
 def _int_token(text, lineno):
-    try:
-        return int(text)
-    except ValueError:
-        raise ModelFormatError(f"manifest line {lineno}: bad integer {text!r}") from None
+    if not (text.isascii() and text.isdigit()):
+        raise ModelFormatError(f"manifest line {lineno}: bad integer {text!r}")
+    return int(text)
 
 
 def _parse_layer(tokens, blob, index, lineno):
     if not tokens:
         raise ModelFormatError(f"manifest line {lineno}: empty layer declaration")
     kind = tokens[0]
-    params = {}
-    for tok in tokens[1:]:
-        if "=" not in tok:
-            raise ModelFormatError(f"manifest line {lineno}: bad layer parameter {tok!r}")
-        k, v = tok.split("=", 1)
-        params[k] = v
-    if kind == "conv2d":
-        oc = int(params["out"])
-        ic = int(params["in"])
-        kh = int(params["kh"])
-        kw = int(params["kw"])
-        w = _read_array(blob, params["w"], (oc, ic, kh, kw), index, kind, "weight")
-        b = _read_array(blob, params["b"], (oc,), index, kind, "bias")
-        return Conv2d(weight=w, bias=b, stride=int(params["stride"]), padding=int(params["pad"]))
-    if kind == "dense":
-        o = int(params["out"])
-        i = int(params["in"])
-        w = _read_array(blob, params["w"], (o, i), index, kind, "weight")
-        b = _read_array(blob, params["b"], (o,), index, kind, "bias")
-        return Dense(weight=w, bias=b)
-    if kind == "relu":
-        return Relu()
-    if kind == "maxpool2x2":
-        return MaxPool2x2()
-    if kind == "avgpool_global":
-        return GlobalAvgPool()
-    if kind == "flatten":
-        return Flatten()
-    raise ModelFormatError(f"manifest line {lineno}: unknown layer kind {kind!r}")
+    if kind not in LAYER_FORMATS:
+        raise ModelFormatError(f"manifest line {lineno}: unknown layer kind {kind!r}")
+    cls, dims, ints = LAYER_FORMATS[kind]
+    keys = [*dims, *ints, *(("w", "b") if dims else ())]
+    params = dict(tok.partition("=")[::2] for tok in tokens[1:])  # "key=value" -> key: value
+    if len(params) != len(tokens) - 1 or sorted(params) != sorted(keys):
+        raise ModelFormatError(
+            f"manifest line {lineno}: {kind} takes {' '.join(keys) or 'no parameters'}, "
+            f"got {' '.join(tokens[1:])!r}"
+        )
+    fields = {name: _int_token(params[key], lineno) for key, name in ints.items()}
+    if dims:
+        shape = tuple(_int_token(params[key], lineno) for key in dims)
+        where = f"manifest line {lineno}: layer {index} ({kind})"
+        fields["weight"] = _read_array(blob, params["w"], shape, where, "weight")
+        fields["bias"] = _read_array(blob, params["b"], shape[:1], where, "bias")
+    return cls(**fields)
 
 
-def _read_array(blob, span, shape, layer_index, kind, name):
+def _read_array(blob, span, shape, where, name):
     try:
         off_text, len_text = span.split(":")
         off, nbytes = int(off_text), int(len_text)
     except ValueError:
-        raise ModelFormatError(f"layer {layer_index} ({kind}): bad {name} span {span!r}") from None
+        raise ModelFormatError(f"{where}: bad {name} span {span!r}") from None
     if off < 0 or nbytes < 0 or off + nbytes > len(blob):
         raise BlobLengthError(
-            f"layer {layer_index} ({kind}): {name} span {off}:{nbytes} "
-            f"exceeds blob of {len(blob)} bytes"
+            f"{where}: {name} span {off}:{nbytes} exceeds blob of {len(blob)} bytes"
         )
-    expected = int(np.prod(shape)) * 8
+    expected = math.prod(shape) * 8
     if nbytes != expected:
         raise ShapeChainError(
-            f"layer {layer_index} ({kind}): {name} declares shape {shape} "
-            f"({expected} bytes) but stores {nbytes} bytes"
+            f"{where}: {name} declares shape {shape} ({expected} bytes) but stores {nbytes} bytes"
         )
     return np.frombuffer(blob[off : off + nbytes], dtype="<f8").reshape(shape).copy()

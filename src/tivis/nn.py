@@ -23,7 +23,6 @@ with identical inputs produce bit-identical outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -254,11 +253,6 @@ class Dense:
         return dx, (dw, db)
 
 
-Layer = Union[Conv2d, Relu, MaxPool2x2, GlobalAvgPool, Flatten, Dense]
-
-LAYER_KINDS = ("conv2d", "relu", "maxpool2x2", "avgpool_global", "flatten", "dense")
-
-
 # --------------------------------------------------------------------------
 # Model
 
@@ -282,8 +276,8 @@ class Model:
                 shape = layer.out_shape(shape)
             except ShapeChainError as exc:
                 raise ShapeChainError(f"layer {i} ({layer.kind}): {exc}") from None
-            for name, arr in _layer_params(layer):
-                if not np.all(np.isfinite(arr)):
+            for name, arr in vars(layer).items():
+                if isinstance(arr, np.ndarray) and not np.all(np.isfinite(arr)):
                     raise NonFiniteError(
                         f"layer {i} ({layer.kind}) has non-finite values in {name}"
                     )
@@ -311,12 +305,6 @@ class Model:
             return self.class_names.index(name_or_index)
         except ValueError:
             raise InvalidClassError(f"unknown class name {name_or_index!r}") from None
-
-
-def _layer_params(layer):
-    if isinstance(layer, (Conv2d, Dense)):
-        return (("weight", layer.weight), ("bias", layer.bias))
-    return ()
 
 
 @dataclass

@@ -9,6 +9,7 @@ bit-identical final weights.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,8 @@ class TrainConfig:
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         # learning_rate 0 is legal and means "no update" by contract
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 < self.val_fraction < 1.0:
@@ -72,7 +73,7 @@ class TrainResult:
 
 
 def reference_architecture(seed: int = REFERENCE_SEED, image_size: int = 64) -> Model:
-    """conv-pool-conv-pool with a global-average head, 6 output classes.
+    """Two conv-relu-pool stages, a third 2x2 pool, flatten, dense; 6 classes.
 
     Hidden weights are uniform in [-a, a] with a = sqrt(1/fan_in); the
     classifier head starts at zero so the untrained model outputs equal
@@ -149,14 +150,7 @@ def train(dataset: ShapeDataset, model: Model, config: TrainConfig) -> TrainResu
         )
     model = copy.deepcopy(model)
 
-    n = len(dataset)
-    order = list(range(n))
-    Xoshiro256(derive_seed(config.seed, _STREAM_SPLIT)).shuffle(order)
-    n_val = max(1, round(config.val_fraction * n))
-    if n_val >= n:
-        raise ValueError("val_fraction leaves no training samples")
-    val_idx = np.asarray(order[:n_val])
-    train_idx = np.asarray(order[n_val:])
+    val_idx, train_idx = _split_indices(len(dataset), config)
 
     xnorm = normalize_images(model.pixel_norm, dataset.images)
     labels = dataset.labels
@@ -221,12 +215,19 @@ def training_split(dataset: ShapeDataset, config: TrainConfig) -> ShapeDataset:
     return _subset(dataset, config, validation=False)
 
 
-def _subset(dataset: ShapeDataset, config: TrainConfig, validation: bool) -> ShapeDataset:
-    n = len(dataset)
+def _split_indices(n: int, config: TrainConfig):
+    """(validation, training) index arrays of the seeded split of n samples."""
     order = list(range(n))
     Xoshiro256(derive_seed(config.seed, _STREAM_SPLIT)).shuffle(order)
     n_val = max(1, round(config.val_fraction * n))
-    idx = np.asarray(order[:n_val] if validation else order[n_val:])
+    if n_val >= n:
+        raise ValueError("val_fraction leaves no training samples")
+    return np.asarray(order[:n_val]), np.asarray(order[n_val:])
+
+
+def _subset(dataset: ShapeDataset, config: TrainConfig, validation: bool) -> ShapeDataset:
+    val_idx, train_idx = _split_indices(len(dataset), config)
+    idx = val_idx if validation else train_idx
     return ShapeDataset(
         images=dataset.images[idx],
         labels=dataset.labels[idx],

@@ -25,6 +25,10 @@ from . import nn
 
 SCALE_FACTOR_MAX = 8.0
 
+# Longest transform list a sweep, a repeat or a whole list may expand to:
+# a 0.1 degree rotation sweep. The defaults use 36.
+MAX_TRANSFORMS = 3600
+
 _EXACT_TRIG = {0.0: (1.0, 0.0), 90.0: (0.0, 1.0), 180.0: (-1.0, 0.0), 270.0: (0.0, -1.0)}
 
 
@@ -196,8 +200,10 @@ class TransformSchedule:
 
 def rotation_sweep(step_degrees: float) -> tuple:
     """Battery of rotations 0, step, 2*step, ... covering [0, 360)."""
-    if step_degrees <= 0:
+    if not step_degrees > 0:
         raise ValueError(f"sweep step must be positive, got {step_degrees}")
+    if 360.0 / step_degrees > MAX_TRANSFORMS:
+        raise ValueError(f"sweep step {step_degrees} gives more than {MAX_TRANSFORMS} rotations")
     count = int(math.ceil(360.0 / step_degrees))
     return tuple(TransformSpec.rotation(k * step_degrees) for k in range(count))
 
@@ -225,8 +231,8 @@ def parse_transform_list(text: str) -> tuple:
         if "x" in value and kind != "flip":
             value, count = value.rsplit("x", 1)
             repeat = int(count)
-            if repeat < 1:
-                raise ValueError(f"repeat count must be >= 1 in {part!r}")
+            if not 1 <= repeat <= MAX_TRANSFORMS:
+                raise ValueError(f"repeat count must be in [1, {MAX_TRANSFORMS}] in {part!r}")
         if kind == "rot":
             spec = TransformSpec.rotation(float(value))
         elif kind == "flip":
@@ -238,6 +244,8 @@ def parse_transform_list(text: str) -> tuple:
         specs.extend([spec] * repeat)
     if not specs:
         raise ValueError(f"no transforms found in {text!r}")
+    if len(specs) > MAX_TRANSFORMS:
+        raise ValueError(f"{text!r} expands to more than {MAX_TRANSFORMS} transforms")
     return tuple(specs)
 
 

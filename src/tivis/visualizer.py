@@ -46,8 +46,8 @@ class OptimConfig:
     def __post_init__(self):
         if not 0.0 < self.q_target < 1.0:
             raise ValueError(f"q_target must be in (0, 1), got {self.q_target}")
-        if self.step_size < 0:
-            raise ValueError(f"step_size must be >= 0, got {self.step_size}")
+        if not (math.isfinite(self.step_size) and self.step_size >= 0):
+            raise ValueError(f"step_size must be finite and >= 0, got {self.step_size}")
         if self.max_inner_steps < 1:
             raise ValueError(f"max_inner_steps must be >= 1, got {self.max_inner_steps}")
         if self.gradient_mode not in GRADIENT_MODES:

@@ -237,3 +237,8 @@ def entropy_of_gray_direct(gray):
 def luma_direct(r, g, b):
     """Integer BT.601 luma for integer channel values."""
     return (30 * int(r) + 59 * int(g) + 11 * int(b)) // 100
+
+
+def write_model_file(path, manifest: bytes, blob: bytes = b"") -> None:
+    """Write a GBXM file around a hand-made manifest, bypassing save_model."""
+    path.write_bytes(b"GBXM" + bytes([1]) + len(manifest).to_bytes(8, "little") + manifest + blob)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from helpers import write_model_file
+
 from tivis.cli import main
 from tivis.model_io import load_model, save_model
 from tivis.nn import Dense, Flatten, Model
@@ -170,6 +172,30 @@ def test_domain_error_reported(tmp_path, confident_model_file, capsys):
     ])
     assert code == 1
     assert "InvalidClassError" in capsys.readouterr().err
+
+
+def test_max_outer_zero_reported(tmp_path, confident_model_file, capsys):
+    code = main([
+        "visualize", "--model", str(confident_model_file), "--class", "beta",
+        "--max-outer", "0", "--out", str(tmp_path / "x.ppm"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ValueError: max_outer_iterations")
+
+
+@pytest.mark.parametrize(
+    "layer_line",
+    ["layer conv2d out=3", "layer flatten foo=1", "layer dense out=x in=2 w=0:0 b=0:0"],
+)
+def test_malformed_layer_line_reported(tmp_path, sample_ppm, capsys, layer_line):
+    manifest = f"pixel_norm unit_01\ninput_shape 3 16 16\nclasses a b\n{layer_line}\nblob_bytes 0\n"
+    path = tmp_path / "bad.gbxm"
+    write_model_file(path, manifest.encode())
+    code = main(["classify", "--model", str(path), str(sample_ppm)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ModelFormatError: manifest line 4: ")
+    assert err.count("\n") == 1
 
 
 def test_usage_error_exit_code_two(capsys):

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_small_model
+from helpers import random_small_model, write_model_file
 
 from tivis import nn
-from tivis.errors import BadMagicError, BlobLengthError, ShapeChainError
+from tivis.errors import (
+    BadMagicError,
+    BlobLengthError,
+    ModelFormatError,
+    ShapeChainError,
+    TivisError,
+)
 from tivis.model_io import load_model, save_model
 from tivis.rng import uniform_field
 
@@ -68,7 +76,7 @@ def test_manifest_shape_mismatch_names_layer(tmp_path):
         f"blob_bytes {len(blob)}\n"
     ).encode()
     path = tmp_path / "m.gbxm"
-    path.write_bytes(b"GBXM" + bytes([1]) + len(manifest).to_bytes(8, "little") + manifest + blob)
+    write_model_file(path, manifest, blob)
     with pytest.raises(ShapeChainError, match=r"layer 0 \(dense\)"):
         load_model(path)
 
@@ -93,3 +101,66 @@ def test_save_rejects_whitespace_class_names(tmp_path):
     model.layers[-1].bias = model.layers[-1].bias[:2]
     with pytest.raises(ValueError, match="whitespace"):
         save_model(model, tmp_path / "m.gbxm")
+
+
+@pytest.mark.parametrize(
+    "layer_line",
+    [
+        "layer conv2d out=3",  # missing keys
+        "layer flatten foo=1",  # unknown key
+        "layer dense out=2 out=2 in=48 w=0:768 b=768:16",  # repeated key
+        "layer dense out=x in=48 w=0:768 b=768:16",  # non-integer dimension
+        "layer conv2d out=2 in=3 kh=1 kw=1 stride=1 pad=1.5 w=0:48 b=48:16",  # non-integer pad
+        "layer dense out=-2 in=48 w=0:768 b=768:16",  # negative dimension
+        "layer dense out=2 in=48 w=0-768 b=768:16",  # malformed span
+        "layer pool9",  # unknown kind
+    ],
+)
+def test_malformed_layer_line_names_manifest_line(tmp_path, layer_line):
+    blob = bytes(784)
+    manifest = (
+        "pixel_norm unit_01\n"
+        "input_shape 3 4 4\n"
+        "classes a b\n"
+        "layer flatten\n"
+        f"{layer_line}\n"
+        f"blob_bytes {len(blob)}\n"
+    ).encode()
+    path = tmp_path / "m.gbxm"
+    write_model_file(path, manifest, blob)
+    with pytest.raises(ModelFormatError, match=r"^manifest line 5: "):
+        load_model(path)
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    path = tmp_path_factory.mktemp("saved") / "m.gbxm"
+    save_model(random_small_model(21)[0], path)
+    return path
+
+
+_FRAGMENTS = st.one_of(
+    st.binary(max_size=6),
+    st.sampled_from(
+        [b" ", b"\n", b"=", b":", b"-1", b"0", b"99999999999999999999", b"layer ", b"conv2d",
+         b"dense", b"flatten", b"out=", b"in=", b"pad=", b"stride=", b"w=", b"b=", b"classes"]
+    ),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_manifest_raises_only_tivis_or_value_errors(saved_model, data):
+    raw = saved_model.read_bytes()
+    mlen = int.from_bytes(raw[5:13], "little")
+    manifest, blob = raw[13 : 13 + mlen], raw[13 + mlen :]
+    start = data.draw(st.integers(0, mlen), label="start")
+    end = data.draw(st.integers(start, min(mlen, start + 12)), label="end")
+    insert = b"".join(data.draw(st.lists(_FRAGMENTS, max_size=3), label="insert"))
+    mutated = manifest[:start] + insert + manifest[end:]
+    path = saved_model.with_name("mutated.gbxm")
+    write_model_file(path, mutated, blob)
+    try:
+        load_model(path)
+    except (TivisError, ValueError):
+        pass

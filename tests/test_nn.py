@@ -82,7 +82,11 @@ class TestForward:
     def test_non_finite_weights_rejected(self):
         model = _zero_head_model()
         model.layers[1].weight[0, 0] = np.nan
-        with pytest.raises(NonFiniteError, match="dense"):
+        with pytest.raises(NonFiniteError, match=r"layer 1 \(dense\) .* in weight"):
+            nn.forward(model, np.zeros((6, 6, 3)))
+        model.layers[1].weight[0, 0] = 0.0
+        model.layers[1].bias[0] = np.inf
+        with pytest.raises(NonFiniteError, match=r"layer 1 \(dense\) .* in bias"):
             nn.forward(model, np.zeros((6, 6, 3)))
 
     def test_shape_chain_violation_names_layer(self):

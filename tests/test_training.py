@@ -98,8 +98,9 @@ def test_train_does_not_mutate_input_model():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=-0.1)
+    for learning_rate in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            TrainConfig(learning_rate=learning_rate)
     with pytest.raises(ValueError):
         TrainConfig(val_fraction=1.0)
     with pytest.raises(ValueError):

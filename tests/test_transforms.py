@@ -162,6 +162,7 @@ class TestSpecsAndSchedules:
         battery = T.parse_transform_list("rot-sweep:10")
         assert len(battery) == 36
         assert battery[0].angle == 0.0 and battery[-1].angle == 350.0
+        assert len(T.parse_transform_list("rot-sweep:0.1")) == T.MAX_TRANSFORMS
 
     def test_default_schedule_matches_documented_text(self):
         sched = T.default_schedule()
@@ -173,7 +174,14 @@ class TestSpecsAndSchedules:
             T.TransformSchedule(steps=(), battery=(T.TransformSpec.rotation(0),))
 
     def test_parse_errors(self):
-        for bad in ("", "spin:10", "rot:10x0"):
+        for bad in (
+            "",
+            "spin:10",
+            "rot:10x0",
+            "rot:10x100000000000",
+            "rot-sweep:1e-300",
+            "rot:10x3600,flip:h",
+        ):
             with pytest.raises(ValueError):
                 T.parse_transform_list(bad)
 

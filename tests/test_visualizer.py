@@ -224,8 +224,9 @@ class TestConfigValidation:
     def test_optim_config_ranges(self):
         with pytest.raises(ValueError):
             OptimConfig(q_target=1.0)
-        with pytest.raises(ValueError):
-            OptimConfig(step_size=-1.0)
+        for step_size in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                OptimConfig(step_size=step_size)
         with pytest.raises(ValueError):
             OptimConfig(gradient_mode="clip")
         with pytest.raises(ValueError):
