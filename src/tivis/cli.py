@@ -158,10 +158,8 @@ def _load_init(model, text):
         gray = float(text)
     except ValueError:
         return read_ppm(text)
-    if not 0 <= gray <= 255:
-        raise ValueError(f"init gray level must be in [0, 255], got {gray}")
     _, h, w = model.input_shape
-    return constant_image(h, w, gray)
+    return constant_image(h, w, entropy_mod.check_gray_level(gray))
 
 
 def _parse_rect(text) -> ScreenRect:
@@ -236,15 +234,19 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_visualize(args) -> int:
+def _run_setup(args):
+    """(model, target, schedule, config, stop) of a visualize or sweep-init command."""
     model = _load_model(args)
     target = _resolve_class(model, args.target_class)
-    init = _load_init(model, args.init)
     steps = parse_transform_list(args.schedule)
     battery = parse_transform_list(args.battery)
     schedule = TransformSchedule(steps=steps, battery=battery)
-    config = _optim_config(args)
-    stop = _stop_criterion(args, schedule)
+    return model, target, schedule, _optim_config(args), _stop_criterion(args, schedule)
+
+
+def _cmd_visualize(args) -> int:
+    model, target, schedule, config, stop = _run_setup(args)
+    init = _load_init(model, args.init)
     image, trace = visualize(model, target, init, schedule, config, stop)
     if args.out:
         write_ppm(image, args.out)
@@ -282,13 +284,7 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_sweep_init(args) -> int:
-    model = _load_model(args)
-    target = _resolve_class(model, args.target_class)
-    steps = parse_transform_list(args.schedule)
-    battery = parse_transform_list(args.battery)
-    schedule = TransformSchedule(steps=steps, battery=battery)
-    config = _optim_config(args)
-    stop = _stop_criterion(args, schedule)
+    model, target, schedule, config, stop = _run_setup(args)
     if args.grays:
         gray_levels = tuple(int(g) for g in args.grays.split(","))
     else:

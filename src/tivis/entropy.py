@@ -38,6 +38,13 @@ DEFAULT_STRIDE = 16
 MAX_ENTROPY_BITS = 16.0
 
 
+def check_gray_level(gray):
+    """Return a constant-init gray level, rejecting one outside [0, 255]."""
+    if not 0 <= gray <= 255:
+        raise ValueError(f"init gray level must be in [0, 255], got {gray}")
+    return gray
+
+
 def to_grayscale(image: np.ndarray) -> np.ndarray:
     """BT.601 integer luma of an (H, W, 3) display-unit image."""
     image = np.asarray(image, dtype=np.float64)
@@ -197,7 +204,8 @@ def init_sweep(
         raise ValueError("gray_levels must be nonempty")
     _, h, w = model.input_shape
     records = []
-    for gray in sorted(int(g) for g in gray_levels):
+    # every level is checked before the first visualization runs
+    for gray in sorted(check_gray_level(int(g)) for g in gray_levels):
         init = constant_image(h, w, float(gray))
         try:
             final, trace = visualize(model, target_class, init, schedule, config, stop)

@@ -25,10 +25,9 @@ class NonFiniteError(TivisError):
 class NonFiniteGradientError(NonFiniteError):
     """An input gradient turned non-finite during optimization."""
 
-    def __init__(self, step_index: int, message: str = ""):
+    def __init__(self, step_index: int):
         self.step_index = step_index
-        detail = message or "gradient contains non-finite values"
-        super().__init__(f"{detail} at optimization step {step_index}")
+        super().__init__(f"gradient contains non-finite values at optimization step {step_index}")
 
 
 class ModelFormatError(TivisError):

@@ -91,6 +91,8 @@ class Conv2d:
         oc, ic, kh, kw = self.weight.shape
         if c != ic:
             raise ShapeChainError(f"conv2d expects {ic} input channels, got {c}")
+        if self.bias.shape != (oc,):
+            raise ShapeChainError(f"conv2d bias shape {self.bias.shape} does not match {oc} outputs")
         if self.stride < 1:
             raise ShapeChainError(f"conv2d stride must be >= 1, got {self.stride}")
         ho = (h + 2 * self.padding - kh) // self.stride + 1
@@ -171,29 +173,21 @@ class MaxPool2x2:
         return (c, h // 2, w // 2)
 
     def forward(self, x):
-        n, c, h, w = x.shape
-        ho, wo = h // 2, w // 2
-        xc = x[:, :, : 2 * ho, : 2 * wo]
-        win = np.ascontiguousarray(
-            xc.reshape(n, c, ho, 2, wo, 2).transpose(0, 1, 2, 4, 3, 5)
-        ).reshape(n, c, ho, wo, 4)
-        idx = win.argmax(axis=-1)  # ties resolve to the first position
-        y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+        h, w = x.shape[2] // 2 * 2, x.shape[3] // 2 * 2
+        q0, q1, q2, q3 = (x[:, :, i:h:2, j:w:2] for i in (0, 1) for j in (0, 1))
+        # np.maximum returns its second argument on a tie, so this order keeps
+        # the first tied position's value, sign of zero included
+        y = np.maximum(np.maximum(q3, q2), np.maximum(q1, q0))
+        # winner index in (0,0) (0,1) (1,0) (1,1) order; ties go to the first
+        idx = np.where(q0 == y, 0, np.where(q1 == y, 1, np.where(q2 == y, 2, 3)))
         return y, (x.shape, idx)
 
     def backward(self, dy, cache):
         xshape, idx = cache
-        n, c, h, w = xshape
-        ho, wo = h // 2, w // 2
-        dwin = np.zeros((n, c, ho, wo, 4))
-        np.put_along_axis(dwin, idx[..., None], dy[..., None], axis=-1)
-        dxc = dwin.reshape(n, c, ho, wo, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
-            n, c, 2 * ho, 2 * wo
-        )
-        if 2 * ho == h and 2 * wo == w:
-            return np.ascontiguousarray(dxc), None
-        dx = np.zeros((n, c, h, w))
-        dx[:, :, : 2 * ho, : 2 * wo] = dxc
+        h, w = xshape[2] // 2 * 2, xshape[3] // 2 * 2
+        dx = np.zeros(xshape)
+        for k in range(4):
+            dx[:, :, k // 2 : h : 2, k % 2 : w : 2] = np.where(idx == k, dy, 0.0)
         return dx, None
 
 
@@ -241,6 +235,8 @@ class Dense:
         out_dim, in_dim = self.weight.shape
         if shape[0] != in_dim:
             raise ShapeChainError(f"dense expects input dim {in_dim}, got {shape[0]}")
+        if self.bias.shape != (out_dim,):
+            raise ShapeChainError(f"dense bias shape {self.bias.shape} does not match {out_dim} outputs")
         return (out_dim,)
 
     def forward(self, x):
@@ -325,7 +321,9 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 # Forward / backward drivers
 
 
-def _check_image(model: Model, image: np.ndarray) -> np.ndarray:
+def _input_batch(model: Model, image: np.ndarray) -> np.ndarray:
+    """Validate the model and one (H, W, 3) display image; return it as a normalized batch."""
+    model.validate()
     image = np.asarray(image, dtype=np.float64)
     c, h, w = model.input_shape
     if image.ndim != 3 or image.shape != (h, w, c):
@@ -335,7 +333,7 @@ def _check_image(model: Model, image: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(image)):
         raise NonFiniteError("image contains non-finite values")
-    return image
+    return normalize_images(model.pixel_norm, image[None])
 
 
 def forward_batch(model: Model, xnorm: np.ndarray, keep_caches: bool = True):
@@ -356,10 +354,7 @@ def forward_batch(model: Model, xnorm: np.ndarray, keep_caches: bool = True):
 
 def forward(model: Model, image: np.ndarray) -> Prediction:
     """Classify one (H, W, 3) display-unit image."""
-    model.validate()
-    image = _check_image(model, image)
-    x = normalize_images(model.pixel_norm, image[None])
-    logits, _ = forward_batch(model, x, keep_caches=False)
+    logits, _ = forward_batch(model, _input_batch(model, image), keep_caches=False)
     logits = logits[0]
     conf = softmax(logits)
     order = np.argsort(-conf, kind="stable")  # ties break toward smaller index
@@ -397,10 +392,8 @@ def confidence_and_input_gradient(
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
-    model.validate()
+    x = _input_batch(model, image)
     target = model.class_index(target_class)
-    image = _check_image(model, image)
-    x = normalize_images(model.pixel_norm, image[None])
     logits, caches = forward_batch(model, x)
     conf = softmax(logits[0])
     q = float(conf[target])

@@ -33,6 +33,8 @@ _FG_MIN = 150  # foreground gray in [_FG_MIN, 255]
 
 _STREAM_SAMPLE = 11
 
+MAX_COUNT_PER_CLASS = 1000  # 6,000 images, about 590 MB as float64
+
 
 @dataclass(frozen=True)
 class ShapeParams:
@@ -130,17 +132,14 @@ def _hexagon(u: np.ndarray, v: np.ndarray, circumradius: float) -> np.ndarray:
 
 def generate_dataset(seed: int, count_per_class: int, size: int = IMAGE_SIZE) -> ShapeDataset:
     """Balanced dataset: count_per_class samples of each of the 6 classes."""
-    if count_per_class < 1:
-        raise ValueError(f"count_per_class must be >= 1, got {count_per_class}")
-    n = count_per_class * len(CLASS_NAMES)
-    images = np.empty((n, size, size, 3), dtype=np.float64)
-    labels = np.empty(n, dtype=np.int64)
-    pos = 0
-    for class_index in range(len(CLASS_NAMES)):
-        for i in range(count_per_class):
-            images[pos] = render_shape(shape_params(seed, class_index, i), size)
-            labels[pos] = class_index
-            pos += 1
+    if not 1 <= count_per_class <= MAX_COUNT_PER_CLASS:
+        raise ValueError(
+            f"count_per_class must be in [1, {MAX_COUNT_PER_CLASS}], got {count_per_class}"
+        )
+    labels = np.repeat(np.arange(len(CLASS_NAMES), dtype=np.int64), count_per_class)
+    images = np.empty((len(labels), size, size, 3), dtype=np.float64)
+    for pos, label in enumerate(labels):
+        images[pos] = render_shape(shape_params(seed, int(label), pos % count_per_class), size)
     return ShapeDataset(images=images, labels=labels, seed=seed)
 
 
@@ -166,25 +165,33 @@ def save_dataset(dataset: ShapeDataset, directory) -> None:
 
 
 def load_dataset(directory) -> ShapeDataset:
+    """Read a save_dataset directory; a malformed manifest line is a ValueError naming it."""
     from .ppm import read_ppm
 
     with open(os.path.join(directory, "manifest.txt"), "r", encoding="utf-8") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines or lines[0] != "#tivis-dataset v1":
+        lines = [(n, ln.strip()) for n, ln in enumerate(f, 1) if ln.strip()]
+    if not lines or lines[0][1] != "#tivis-dataset v1":
         raise ValueError("not a tivis dataset manifest")
     seed = 0
     class_names = CLASS_NAMES
     images = []
     labels = []
-    for line in lines[1:]:
-        tokens = line.split()
-        if tokens[0] == "seed":
-            seed = int(tokens[1])
-        elif tokens[0] == "classes":
-            class_names = tuple(tokens[1:])
-        elif tokens[0] == "image":
-            images.append(read_ppm(os.path.join(directory, tokens[1])))
-            labels.append(int(tokens[2]))
+    for lineno, line in lines[1:]:
+        directive, *fields = line.split()
+        try:
+            if directive == "seed" and len(fields) == 1:
+                seed = int(fields[0])
+            elif directive == "classes" and fields and not images:
+                class_names = tuple(fields)
+            elif directive == "image" and len(fields) == 2:
+                labels.append(int(fields[1]))
+                if not 0 <= labels[-1] < len(class_names):
+                    raise ValueError(f"label {labels[-1]} outside [0, {len(class_names)})")
+                images.append(read_ppm(os.path.join(directory, fields[0])))
+            else:
+                raise ValueError(f"malformed or misplaced directive {line!r}")
+        except ValueError as exc:
+            raise ValueError(f"manifest line {lineno}: {exc}") from None
     if not images:
         raise ValueError("dataset manifest lists no images")
     return ShapeDataset(

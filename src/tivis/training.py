@@ -141,19 +141,13 @@ def train(dataset: ShapeDataset, model: Model, config: TrainConfig) -> TrainResu
     """SGD with a fixed learning rate; returns the trained model and log."""
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    model.validate()
-    h, w = dataset.images.shape[1:3]
-    if model.input_shape != (3, h, w):
-        raise ShapeMismatchError(
-            f"architecture input {model.input_shape} does not match "
-            f"dataset images (3, {h}, {w})"
-        )
+    xnorm = _model_inputs(model, dataset)
+    labels = dataset.labels
+    if labels.min() < 0 or labels.max() >= model.num_classes:
+        raise ValueError(f"dataset labels must lie in [0, {model.num_classes})")
     model = copy.deepcopy(model)
 
     val_idx, train_idx = _split_indices(len(dataset), config)
-
-    xnorm = normalize_images(model.pixel_norm, dataset.images)
-    labels = dataset.labels
 
     history = []
     for epoch in range(config.epochs):
@@ -195,14 +189,18 @@ def _accuracy(model: Model, xnorm: np.ndarray, labels: np.ndarray, chunk: int = 
 
 def evaluate(model: Model, dataset: ShapeDataset) -> float:
     """Top-1 accuracy of the model on the whole dataset."""
+    return _accuracy(model, _model_inputs(model, dataset), dataset.labels)
+
+
+def _model_inputs(model: Model, dataset: ShapeDataset) -> np.ndarray:
+    """The dataset's images normalized for the model, after validating both."""
     model.validate()
     h, w = dataset.images.shape[1:3]
     if model.input_shape != (3, h, w):
         raise ShapeMismatchError(
             f"model input {model.input_shape} does not match dataset images (3, {h}, {w})"
         )
-    xnorm = normalize_images(model.pixel_norm, dataset.images)
-    return _accuracy(model, xnorm, dataset.labels)
+    return normalize_images(model.pixel_norm, dataset.images)
 
 
 def validation_split(dataset: ShapeDataset, config: TrainConfig) -> ShapeDataset:

@@ -157,17 +157,14 @@ def visualize(
         confs = np.array([c for _, c in results])
         bmin = float(confs.min())
         bmean = float(confs.mean())
-        if bmin >= stop.q_test:
-            records.append(
-                IterationRecord(index, None, last_inner, last_q, bmin, bmean)
-            )
+        converged = bmin >= stop.q_test
+        spec = None
+        if not converged and index < stop.max_outer_iterations - 1:
+            spec = schedule.steps[index % len(schedule.steps)]
+        records.append(IterationRecord(index, spec, last_inner, last_q, bmin, bmean))
+        if converged:
             return optimized, RunTrace(records=records, status=STATUS_CONVERGED)
-        spec = schedule.steps[index % len(schedule.steps)]
-        is_last = index == stop.max_outer_iterations - 1
-        records.append(
-            IterationRecord(index, None if is_last else spec, last_inner, last_q, bmin, bmean)
-        )
-        if not is_last:
+        if spec is not None:
             current = apply_transform(optimized, spec)
     # Not converged: report whether the inner loop or the outer budget bound us.
     status = (

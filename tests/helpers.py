@@ -41,6 +41,32 @@ def conv2d_direct(x, weight, bias, stride, padding):
     return out
 
 
+def maxpool2x2_direct(x, dy=None):
+    """2x2 max pooling of (N, C, H, W) by scalar loops; returns (y, idx, dx).
+
+    A window's winner is its first maximal element in (0,0) (0,1) (1,0)
+    (1,1) order, and idx holds that position. y is the winning element
+    itself, so a -0.0 winner stays -0.0. dx routes dy to the winners and is
+    zero elsewhere, including a trailing odd row or column; it is None
+    when dy is.
+    """
+    n, c, h, w = x.shape
+    y = np.zeros((n, c, h // 2, w // 2))
+    idx = np.zeros(y.shape, dtype=np.int64)
+    dx = None if dy is None else np.zeros(x.shape)
+    for b, ci, i, j in np.ndindex(y.shape):
+        window = [x[b, ci, 2 * i + k // 2, 2 * j + k % 2] for k in range(4)]
+        best = 0
+        for k in range(1, 4):
+            if window[k] > window[best]:
+                best = k
+        y[b, ci, i, j] = window[best]
+        idx[b, ci, i, j] = best
+        if dx is not None:
+            dx[b, ci, 2 * i + best // 2, 2 * j + best % 2] = dy[b, ci, i, j]
+    return y, idx, dx
+
+
 def forward_direct(model, image):
     """Full forward pass via scalar loops; returns logits for one image."""
     h_img, w_img = image.shape[:2]
@@ -56,18 +82,7 @@ def forward_direct(model, image):
         elif layer.kind == "relu":
             x = np.where(x > 0, x, 0.0)
         elif layer.kind == "maxpool2x2":
-            c, h, w = x.shape
-            out = np.zeros((c, h // 2, w // 2))
-            for ci in range(c):
-                for i in range(h // 2):
-                    for j in range(w // 2):
-                        out[ci, i, j] = max(
-                            x[ci, 2 * i, 2 * j],
-                            x[ci, 2 * i, 2 * j + 1],
-                            x[ci, 2 * i + 1, 2 * j],
-                            x[ci, 2 * i + 1, 2 * j + 1],
-                        )
-            x = out
+            x = maxpool2x2_direct(x[None])[0][0]
         elif layer.kind == "avgpool_global":
             c = x.shape[0]
             x = np.array([float(np.sum(x[ci])) / x[ci].size for ci in range(c)])

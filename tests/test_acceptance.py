@@ -159,6 +159,15 @@ def test_criterion_5_desk_scale_central_claim(reference_run, reference_dataset):
         )
         assert trace.status == "converged"
         assert trace.records[-1].battery_min >= 0.8
+        # golden bits of this run, recorded with numpy 2.4.6 and OpenBLAS
+        # 0.3.31 (scipy-openblas64); a change to any of them breaks the
+        # bit-reproducibility contract
+        assert E.image_id(image) == "d2cc1322922c5b01"
+        assert trace.records[-1].battery_min == 0.8301733193157064
+        assert [rec.inner_steps for rec in trace.records] == [
+            494, 172, 255, 319, 319, 295, 297, 298, 212, 196, 59, 192, 211, 152, 96, 98,
+            58, 88, 84, 98, 173, 222, 150, 135, 138, 152, 176, 166, 84, 124, 225, 210,
+        ]
 
         # ten paired seeded runs: invariant method vs single-pass baseline
         pair_config = OptimConfig(step_size=2.0)

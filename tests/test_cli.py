@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,59 @@ def test_malformed_layer_line_reported(tmp_path, sample_ppm, capsys, layer_line)
     err = capsys.readouterr().err
     assert err.startswith("error: ModelFormatError: manifest line 4: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("seed", "malformed"),
+        ("seed x", "invalid literal"),
+        ("image", "malformed"),
+        ("image sample_00000.ppm", "malformed"),
+        ("image sample_00000.ppm 0 1", "malformed"),
+        ("image sample_00000.ppm zero", "invalid literal"),
+        ("classes", "malformed"),
+        ("labels 0 1", "malformed"),
+        ("classes a b c d e f", "misplaced"),
+        ("image sample_00000.ppm -1", r"label -1 outside \[0, 6\)"),
+        ("image sample_00000.ppm 6", r"label 6 outside \[0, 6\)"),
+    ],
+)
+def test_malformed_dataset_manifest_reported(tmp_path, capsys, line, message):
+    ds = tmp_path / "ds"
+    assert main(["make-dataset", "--seed", "3", "--count-per-class", "1", "--out", str(ds)]) == 0
+    manifest = ds / "manifest.txt"
+    manifest.write_text(manifest.read_text() + "\n" + line + "\n")
+    lineno = len(manifest.read_text().splitlines())
+    capsys.readouterr()
+    code = main(["train", "--dataset", str(ds), "--epochs", "1", "--out", str(tmp_path / "m.gbxm")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValueError: manifest line {lineno}: ")
+    assert re.search(message, err)
+    assert err.count("\n") == 1
+
+
+def test_make_dataset_count_is_bounded(tmp_path, capsys):
+    code = main(["make-dataset", "--count-per-class", "1001", "--out", str(tmp_path / "ds")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: ValueError: count_per_class must be in [1, 1000], got 1001\n"
+    )
+    assert not (tmp_path / "ds").exists()
+
+
+def test_sweep_gray_level_out_of_range_reported(tmp_path, confident_model_file, capsys):
+    rep = tmp_path / "sweep.txt"
+    code = main([
+        "sweep-init", "--model", str(confident_model_file), "--class", "beta",
+        "--grays", "0,300", "--report", str(rep),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: ValueError: init gray level must be in [0, 255], got 300\n"
+    )
+    assert not rep.exists()
 
 
 def test_usage_error_exit_code_two(capsys):

@@ -301,6 +301,18 @@ class TestInitSweep:
         with pytest.raises(ValueError):
             E.init_sweep(model, 0, schedule, config, stop, gray_levels=())
 
+    @pytest.mark.parametrize("bad", [-1, 256, 300])
+    def test_out_of_range_level_rejected_before_any_run(self, monkeypatch, bad):
+        model, schedule, config, stop = self._setup()
+        import tivis.visualizer as viz
+
+        def never(*args):
+            raise AssertionError("visualize ran before the gray levels were checked")
+
+        monkeypatch.setattr(viz, "visualize", never)
+        with pytest.raises(ValueError, match=rf"must be in \[0, 255\], got {bad}"):
+            E.init_sweep(model, 0, schedule, config, stop, gray_levels=(0, 128, bad))
+
     def test_default_gray_levels_match_contract(self):
         assert len(E.DEFAULT_GRAY_LEVELS) == 27
         assert E.DEFAULT_GRAY_LEVELS[0] == 0

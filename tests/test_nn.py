@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import fd_input_gradient, forward_direct, random_small_model
+from helpers import fd_input_gradient, forward_direct, maxpool2x2_direct, random_small_model
 
 from tivis import nn
 from tivis.errors import InvalidClassError, NonFiniteError, ShapeChainError, ShapeMismatchError
@@ -97,6 +97,60 @@ class TestForward:
         )
         with pytest.raises(ShapeChainError, match="layer 1"):
             bad.validate()
+
+    @pytest.mark.parametrize("kind", ["conv2d", "dense"])
+    def test_bias_shape_must_match_outputs(self, kind):
+        if kind == "conv2d":
+            head = [nn.Conv2d(weight=np.zeros((3, 3, 4, 4)), bias=np.zeros(1)), nn.Flatten()]
+        else:
+            head = [nn.Flatten(), nn.Dense(weight=np.zeros((3, 48)), bias=np.zeros(1))]
+        bad = nn.Model(layers=head, input_shape=(3, 4, 4), class_names=("a", "b", "c"))
+        with pytest.raises(ShapeChainError, match=rf"layer \d \({kind}\): {kind} bias shape \(1,\)"):
+            bad.validate()
+
+
+def _pool_cases():
+    """Random, tied, and signed-zero inputs with odd sizes and N up to 3."""
+    rng = np.random.default_rng(31)
+    for case in range(60):
+        shape = (int(rng.integers(1, 4)), int(rng.integers(1, 4)),
+                 int(rng.integers(2, 8)), int(rng.integers(2, 8)))
+        if case % 3 == 0:
+            x = rng.normal(size=shape)
+        elif case % 3 == 1:
+            x = rng.integers(-1, 2, size=shape).astype(np.float64)  # many ties
+        else:
+            x = rng.choice([0.0, -0.0, 1.0, -1.0], size=shape)  # ties of +-0.0
+        yield x, rng.choice([2.5, -1.0, 0.0, -0.0], size=(shape[0], shape[1], shape[2] // 2, shape[3] // 2))
+
+
+class TestMaxPool:
+    @staticmethod
+    def _assert_bits_equal(a, b):
+        assert a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+    def test_matches_scalar_oracle_forward_and_backward(self):
+        pool = nn.MaxPool2x2()
+        for x, dy in _pool_cases():
+            y, cache = pool.forward(x)
+            want_y, want_idx, want_dx = maxpool2x2_direct(x, dy)
+            self._assert_bits_equal(y, want_y)
+            assert cache[0] == x.shape
+            np.testing.assert_array_equal(cache[1], want_idx)
+            dx, grads = pool.backward(dy, cache)
+            assert grads is None
+            self._assert_bits_equal(dx, want_dx)
+
+    def test_ties_keep_first_position_and_its_zero_sign(self):
+        x = np.array([[[[-0.0, 0.0, 0.0, -0.0], [-0.0, 0.0, 0.0, -0.0]]]])
+        y, (_, idx) = nn.MaxPool2x2().forward(x)
+        assert idx.tolist() == [[[[0, 0]]]]
+        assert np.signbit(y).tolist() == [[[[True, False]]]]
+        x = np.array([[[[-1.0, 2.0], [2.0, 2.0]]]])
+        dx, _ = nn.MaxPool2x2().backward(np.array([[[[5.0]]]]), nn.MaxPool2x2().forward(x)[1])
+        assert dx.tolist() == [[[[0.0, 5.0], [0.0, 0.0]]]]
 
 
 class TestSoftmax:

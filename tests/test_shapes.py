@@ -5,6 +5,7 @@ import pytest
 
 from tivis.shapes import (
     CLASS_NAMES,
+    MAX_COUNT_PER_CLASS,
     generate_dataset,
     load_dataset,
     render_shape,
@@ -36,6 +37,8 @@ def test_exact_balance():
 def test_count_validation():
     with pytest.raises(ValueError):
         generate_dataset(1, 0)
+    with pytest.raises(ValueError, match=rf"\[1, {MAX_COUNT_PER_CLASS}\]"):
+        generate_dataset(1, MAX_COUNT_PER_CLASS + 1)
 
 
 def test_images_are_two_level_integer_buffers():
