@@ -83,6 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("visualize", parents=[common], help="transformation-robust visualization")
     _add_visualize_args(p)
+    _add_init_arg(p)
     p.add_argument("--schedule", default=DEFAULT_SCHEDULE_TEXT)
     p.add_argument("--battery", default=DEFAULT_BATTERY_TEXT)
     p.add_argument("--max-outer", type=int, help="outer iteration cap (default: 3 schedule passes)")
@@ -90,6 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline", parents=[common], help="classic single-pass visualization")
     _add_visualize_args(p)
+    _add_init_arg(p)
     p.add_argument("--battery", help="optionally evaluate this battery on the result")
     p.set_defaults(func=_cmd_baseline)
 
@@ -124,7 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _add_visualize_args(p):
     p.add_argument("--class", dest="target_class", required=True, help="class name or index")
-    p.add_argument("--init", default="0", help="gray level 0-255 or a PPM path (default 0)")
     p.add_argument("--q-target", type=float, default=0.99)
     p.add_argument("--q-test", type=float, default=0.8)
     p.add_argument("--step-size", type=float, default=1.0)
@@ -133,6 +134,10 @@ def _add_visualize_args(p):
     p.add_argument(
         "--objective", choices=("softmax_confidence", "logit"), default="softmax_confidence"
     )
+
+
+def _add_init_arg(p):
+    p.add_argument("--init", default="0", help="gray level 0-255 or a PPM path (default 0)")
 
 
 def _require(args, name: str):
@@ -208,6 +213,12 @@ def _cmd_train(args) -> int:
     else:
         dataset = generate_dataset(args.seed, args.count_per_class)
     arch = reference_architecture(args.seed, image_size=dataset.images.shape[1])
+    if len(dataset.class_names) != arch.num_classes:
+        raise ValueError(
+            f"dataset has {len(dataset.class_names)} classes, "
+            f"the reference architecture has {arch.num_classes}"
+        )
+    arch.class_names = tuple(dataset.class_names)
     config = TrainConfig(
         epochs=args.epochs,
         learning_rate=args.lr,

@@ -18,10 +18,15 @@ optimization steps directly in display space.
 
 All functions are pure: they never mutate their arguments and two calls
 with identical inputs produce bit-identical outputs.
+
+Importing the module sets glibc's malloc thresholds once; see
+``_pin_malloc_thresholds``.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +37,48 @@ from .errors import (
     ShapeChainError,
     ShapeMismatchError,
 )
+
+# mallopt parameter numbers from glibc's malloc.h, and the environment
+# variables through which a user sets malloc parameters themselves
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MALLOC_ENV_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_")
+
+
+def _pin_malloc_thresholds() -> bool:
+    """Start glibc's malloc at the thresholds a warmed-up process reaches.
+
+    glibc lifts its mmap threshold to the largest freed mmapped block (at
+    most 32 MiB on 64-bit) and its trim threshold to twice that. A fresh
+    process that only runs N=1 gradient steps lifts them to about 1.8 MB,
+    so glibc returns each step's 3.6 MB of temporaries to the OS and the
+    next step page-faults them back in. Pinning both at that ceiling costs
+    a process that frees a large array nothing: it ends up there anyway.
+
+    Does nothing off glibc, or when the user has set a malloc parameter
+    through the environment. Returns whether the thresholds were set.
+    """
+    try:
+        libc_version = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (ValueError, OSError):  # no such name: not glibc
+        return False
+    if not libc_version.startswith("glibc"):
+        return False
+    if any(var in os.environ for var in _MALLOC_ENV_VARS):
+        return False
+    if "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mmap_threshold = 32 << 20
+    return bool(
+        mallopt(_M_MMAP_THRESHOLD, mmap_threshold)
+        and mallopt(_M_TRIM_THRESHOLD, 2 * mmap_threshold)
+    )
+
+
+_MALLOC_THRESHOLDS_PINNED = _pin_malloc_thresholds()
 
 PIXEL_NORMS = ("unit_01", "signed_11")
 
@@ -72,7 +119,9 @@ def normalize_images(pixel_norm: str, images: np.ndarray) -> np.ndarray:
 # Each layer implements:
 #   out_shape(shape)      per-sample shape propagation, used for validation
 #   forward(x) -> (y, cache)
-#   backward(dy, cache) -> (dx, grads)   grads is None or (dW, db)
+#   backward(dy, cache, param_grads=True) -> (dx, grads)
+#                         grads is (dW, db) for layers with parameters when
+#                         param_grads is true, None otherwise
 # Batched activations: images (N, C, H, W), vectors (N, D).
 
 
@@ -122,7 +171,7 @@ class Conv2d:
         y = np.matmul(wmat, cols) + self.bias[:, None]
         return y.reshape(n, oc, ho, wo), (x.shape, cols)
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, param_grads=True):
         xshape, cols = cache
         n, c, h, w = xshape
         oc, ic, kh, kw = self.weight.shape
@@ -130,8 +179,6 @@ class Conv2d:
         ho, wo = dy.shape[2], dy.shape[3]
         dy3 = dy.reshape(n, oc, ho * wo)
         wmat = self.weight.reshape(oc, -1)
-        dw = np.matmul(dy3, cols.transpose(0, 2, 1)).sum(axis=0)
-        db = dy.sum(axis=(0, 2, 3))
         dcols = np.matmul(wmat.T, dy3)  # (N, IC*kh*kw, Ho*Wo)
         dxp = np.zeros((n, c, h + 2 * p, w + 2 * p))
         dcols6 = dcols.reshape(n, ic, kh, kw, ho, wo)
@@ -141,7 +188,10 @@ class Conv2d:
                     :, :, ki, kj
                 ]
         dx = dxp[:, :, p : p + h, p : p + w] if p else dxp
-        return dx, (dw.reshape(self.weight.shape), db)
+        if not param_grads:
+            return dx, None
+        dw = np.matmul(dy3, cols.transpose(0, 2, 1)).sum(axis=0)
+        return dx, (dw.reshape(self.weight.shape), dy.sum(axis=(0, 2, 3)))
 
 
 @dataclass
@@ -154,7 +204,7 @@ class Relu:
     def forward(self, x):
         return np.maximum(x, 0.0), x > 0
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, param_grads=True):
         return dy * cache, None
 
 
@@ -182,7 +232,7 @@ class MaxPool2x2:
         idx = np.where(q0 == y, 0, np.where(q1 == y, 1, np.where(q2 == y, 2, 3)))
         return y, (x.shape, idx)
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, param_grads=True):
         xshape, idx = cache
         h, w = xshape[2] // 2 * 2, xshape[3] // 2 * 2
         dx = np.zeros(xshape)
@@ -203,7 +253,7 @@ class GlobalAvgPool:
     def forward(self, x):
         return x.mean(axis=(2, 3)), x.shape
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, param_grads=True):
         n, c, h, w = cache
         dx = np.broadcast_to(dy[:, :, None, None], (n, c, h, w)) / (h * w)
         return np.ascontiguousarray(dx), None
@@ -219,7 +269,7 @@ class Flatten:
     def forward(self, x):
         return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, param_grads=True):
         return dy.reshape(cache), None
 
 
@@ -242,11 +292,11 @@ class Dense:
     def forward(self, x):
         return x @ self.weight.T + self.bias, x
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, param_grads=True):
         dx = dy @ self.weight
-        dw = dy.T @ cache
-        db = dy.sum(axis=0)
-        return dx, (dw, db)
+        if not param_grads:
+            return dx, None
+        return dx, (dy.T @ cache, dy.sum(axis=0))
 
 
 # --------------------------------------------------------------------------
@@ -372,7 +422,8 @@ def input_gradient(
 
     The objective is either the post-softmax confidence of the target class
     or its raw logit. The backward pass is run with the model parameters
-    fixed; only the input gradient is returned.
+    fixed and computes no weight gradients; only the input gradient is
+    returned.
     """
     _, g = confidence_and_input_gradient(model, image, target_class, objective)
     return g
@@ -406,6 +457,6 @@ def confidence_and_input_gradient(
         dlogits[0, target] = 1.0
     d = dlogits
     for layer, cache in zip(reversed(model.layers), reversed(caches)):
-        d, _ = layer.backward(d, cache)
+        d, _ = layer.backward(d, cache, param_grads=False)
     g = d[0] * pixel_norm_slope(model.pixel_norm)
     return q, g

@@ -41,6 +41,53 @@ def conv2d_direct(x, weight, bias, stride, padding):
     return out
 
 
+def conv2d_backward_direct(x, weight, stride, padding, dy):
+    """Naive convolution backward of an (N, C, H, W) batch: (dx, dw, db).
+
+    Each output gradient dy[b, o, i, j] is spread back over the window that
+    output was summed from: into dx through the weights, into dw through
+    the (zero-padded) inputs, and into db directly.
+    """
+    n, c, h, w = x.shape
+    oc, ic, kh, kw = weight.shape
+    ho, wo = dy.shape[2], dy.shape[3]
+    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    xp[:, :, padding : padding + h, padding : padding + w] = x
+    dxp = np.zeros(xp.shape)
+    dw = np.zeros(weight.shape)
+    db = np.zeros(oc)
+    for b in range(n):
+        for o in range(oc):
+            for i in range(ho):
+                for j in range(wo):
+                    g = float(dy[b, o, i, j])
+                    db[o] += g
+                    for ci in range(ic):
+                        for ki in range(kh):
+                            for kj in range(kw):
+                                r, q = i * stride + ki, j * stride + kj
+                                dw[o, ci, ki, kj] += g * xp[b, ci, r, q]
+                                dxp[b, ci, r, q] += g * weight[o, ci, ki, kj]
+    return dxp[:, :, padding : padding + h, padding : padding + w], dw, db
+
+
+def dense_backward_direct(x, weight, dy):
+    """Naive dense backward of an (N, D) batch by scalar loops: (dx, dw, db)."""
+    n, in_dim = x.shape
+    out_dim = weight.shape[0]
+    dx = np.zeros((n, in_dim))
+    dw = np.zeros((out_dim, in_dim))
+    db = np.zeros(out_dim)
+    for b in range(n):
+        for o in range(out_dim):
+            g = float(dy[b, o])
+            db[o] += g
+            for i in range(in_dim):
+                dx[b, i] += g * weight[o, i]
+                dw[o, i] += g * x[b, i]
+    return dx, dw, db
+
+
 def maxpool2x2_direct(x, dy=None):
     """2x2 max pooling of (N, C, H, W) by scalar loops; returns (y, idx, dx).
 

@@ -231,6 +231,34 @@ def test_malformed_dataset_manifest_reported(tmp_path, capsys, line, message):
     assert err.count("\n") == 1
 
 
+def _one_per_class_dataset(tmp_path, classes_line):
+    ds = tmp_path / "ds"
+    assert main(["make-dataset", "--seed", "3", "--count-per-class", "1", "--out", str(ds)]) == 0
+    manifest = ds / "manifest.txt"
+    text = re.sub(r"(?m)^classes .*$", classes_line, manifest.read_text())
+    manifest.write_text(text)
+    return ds
+
+
+def test_train_takes_dataset_class_names(tmp_path):
+    ds = _one_per_class_dataset(tmp_path, "classes a b c d e f")
+    out = tmp_path / "m.gbxm"
+    assert main(["train", "--dataset", str(ds), "--epochs", "1", "--out", str(out)]) == 0
+    assert load_model(out).class_names == ("a", "b", "c", "d", "e", "f")
+
+
+def test_train_dataset_class_count_must_match_head(tmp_path, capsys):
+    ds = _one_per_class_dataset(tmp_path, "classes a b c d e f g")
+    capsys.readouterr()
+    out = tmp_path / "m.gbxm"
+    code = main(["train", "--dataset", str(ds), "--epochs", "1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: ValueError: dataset has 7 classes, the reference architecture has 6\n"
+    )
+    assert not out.exists()
+
+
 def test_make_dataset_count_is_bounded(tmp_path, capsys):
     code = main(["make-dataset", "--count-per-class", "1001", "--out", str(tmp_path / "ds")])
     assert code == 1
@@ -257,3 +285,10 @@ def test_usage_error_exit_code_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["visualize"])  # missing required --class
     assert exc.value.code == 2
+
+
+def test_sweep_init_rejects_init(confident_model_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-init", "--model", str(confident_model_file), "--class", "beta", "--init", "40"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --init 40" in capsys.readouterr().err

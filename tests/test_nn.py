@@ -1,7 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from helpers import fd_input_gradient, forward_direct, maxpool2x2_direct, random_small_model
+from helpers import (
+    conv2d_backward_direct,
+    dense_backward_direct,
+    fd_input_gradient,
+    forward_direct,
+    maxpool2x2_direct,
+    random_small_model,
+)
 
 from tivis import nn
 from tivis.errors import InvalidClassError, NonFiniteError, ShapeChainError, ShapeMismatchError
@@ -124,24 +136,23 @@ def _pool_cases():
         yield x, rng.choice([2.5, -1.0, 0.0, -0.0], size=(shape[0], shape[1], shape[2] // 2, shape[3] // 2))
 
 
-class TestMaxPool:
-    @staticmethod
-    def _assert_bits_equal(a, b):
-        assert a.shape == b.shape
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+def _assert_same_bytes(a, b):
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
 
+
+class TestMaxPool:
     def test_matches_scalar_oracle_forward_and_backward(self):
         pool = nn.MaxPool2x2()
         for x, dy in _pool_cases():
             y, cache = pool.forward(x)
             want_y, want_idx, want_dx = maxpool2x2_direct(x, dy)
-            self._assert_bits_equal(y, want_y)
+            _assert_same_bytes(y, want_y)
             assert cache[0] == x.shape
             np.testing.assert_array_equal(cache[1], want_idx)
             dx, grads = pool.backward(dy, cache)
             assert grads is None
-            self._assert_bits_equal(dx, want_dx)
+            _assert_same_bytes(dx, want_dx)
 
     def test_ties_keep_first_position_and_its_zero_sign(self):
         x = np.array([[[[-0.0, 0.0, 0.0, -0.0], [-0.0, 0.0, 0.0, -0.0]]]])
@@ -151,6 +162,59 @@ class TestMaxPool:
         x = np.array([[[[-1.0, 2.0], [2.0, 2.0]]]])
         dx, _ = nn.MaxPool2x2().backward(np.array([[[[5.0]]]]), nn.MaxPool2x2().forward(x)[1])
         assert dx.tolist() == [[[[0.0, 5.0], [0.0, 0.0]]]]
+
+
+class TestBackward:
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv_matches_scalar_oracle(self, stride, padding, n):
+        rng = np.random.default_rng(100 * stride + 10 * padding + n)
+        for case in range(3):
+            ic, oc = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            kh, kw = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            h, w = int(rng.integers(kh + stride, 8)), int(rng.integers(kw + stride, 8))
+            conv = nn.Conv2d(
+                weight=rng.normal(size=(oc, ic, kh, kw)),
+                bias=rng.normal(size=oc),
+                stride=stride,
+                padding=padding,
+            )
+            x = rng.normal(size=(n, ic, h, w))
+            y, cache = conv.forward(x)
+            dy = rng.normal(size=y.shape)
+            dx, (dw, db) = conv.backward(dy, cache)
+            want_dx, want_dw, want_db = conv2d_backward_direct(x, conv.weight, stride, padding, dy)
+            for got, want in ((dx, want_dx), (dw, want_dw), (db, want_db)):
+                assert got.shape == want.shape, f"case {case}"
+                assert np.max(np.abs(got - want)) <= 1e-10, f"case {case}"
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_dense_matches_scalar_oracle(self, n):
+        rng = np.random.default_rng(40 + n)
+        dense = nn.Dense(weight=rng.normal(size=(4, 7)), bias=rng.normal(size=4))
+        x = rng.normal(size=(n, 7))
+        y, cache = dense.forward(x)
+        dy = rng.normal(size=y.shape)
+        dx, (dw, db) = dense.backward(dy, cache)
+        want_dx, want_dw, want_db = dense_backward_direct(x, dense.weight, dy)
+        for got, want in ((dx, want_dx), (dw, want_dw), (db, want_db)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-10
+
+    def test_without_param_grads_dx_bytes_are_unchanged(self):
+        rng = np.random.default_rng(12)
+        for seed in range(6):
+            model, img = random_small_model(200 + seed)
+            x = nn.normalize_images(model.pixel_norm, np.stack([img, img[::-1], img[:, ::-1]]))
+            logits, caches = nn.forward_batch(model, x)
+            d_full = d_only = rng.normal(size=logits.shape)
+            for layer, cache in zip(reversed(model.layers), reversed(caches)):
+                d_full, grads = layer.backward(d_full, cache)
+                d_only, no_grads = layer.backward(d_only, cache, param_grads=False)
+                assert no_grads is None
+                assert (grads is None) == (layer.kind not in ("conv2d", "dense"))
+                _assert_same_bytes(d_only, d_full)
 
 
 class TestSoftmax:
@@ -242,3 +306,63 @@ class TestGradientProperty:
                 continue
             rel = np.abs(g - gfd)[mask] / np.abs(g)[mask]
             assert rel.max() <= 1e-5, f"seed {seed}"
+
+
+def _glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (ValueError, OSError):
+        return False
+
+
+_FRESH_PROCESS_STEPS = """
+import resource
+import numpy as np
+from tivis import nn
+from tivis.training import reference_architecture
+
+model = reference_architecture(7)
+image = np.random.default_rng(0).uniform(0, 255, (64, 64, 3))
+for _ in range(5):
+    nn.confidence_and_input_gradient(model, image, 5)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(100):
+    nn.confidence_and_input_gradient(model, image, 5)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print(nn._MALLOC_THRESHOLDS_PINNED, (after - before) / 100)
+"""
+
+
+def _run_fresh(code, **env_vars):
+    """Run code in a new interpreter whose malloc settings are glibc's defaults plus env_vars."""
+    user_malloc = nn._MALLOC_ENV_VARS + ("GLIBC_TUNABLES",)
+    env = {k: v for k, v in os.environ.items() if k not in user_malloc}
+    src = str(Path(nn.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_vars)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return proc.stdout.split()
+
+
+@pytest.mark.skipif(not _glibc(), reason="glibc malloc only")
+class TestMallocThresholds:
+    def test_fresh_process_gradient_step_does_not_page_fault(self):
+        # a fresh process: this one's thresholds were lifted by training
+        pinned, faults_per_step = _run_fresh(_FRESH_PROCESS_STEPS)
+        assert pinned == "True"
+        assert float(faults_per_step) < 10
+
+    @pytest.mark.parametrize(
+        "var, value",
+        [
+            ("MALLOC_TRIM_THRESHOLD_", "131072"),
+            ("MALLOC_MMAP_THRESHOLD_", "131072"),
+            ("MALLOC_TOP_PAD_", "0"),
+            ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=131072"),
+        ],
+    )
+    def test_user_malloc_settings_are_left_alone(self, var, value):
+        code = "from tivis import nn; print(nn._MALLOC_THRESHOLDS_PINNED)"
+        assert _run_fresh(code, **{var: value}) == ["False"]
