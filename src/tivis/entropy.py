@@ -22,11 +22,15 @@ Numeric conventions, all chosen so results are bit-testable:
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import multiprocessing
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import nn
 from .errors import TivisError
 from .transforms import constant_image
 
@@ -197,31 +201,30 @@ def init_sweep(
     the argmax of the second-order totals over the successful runs, ties
     resolved toward the smaller gray level. Records are sorted by gray
     level, so the report does not depend on the processing order.
-    """
-    from .visualizer import visualize  # local import to avoid a cycle
 
+    The levels run in forked worker processes, as many as the usable CPUs
+    hold at the BLAS thread count of each worker (see _sweep_workers), and
+    every worker has exited when the call returns.
+    """
     if not gray_levels:
         raise ValueError("gray_levels must be nonempty")
-    _, h, w = model.input_shape
-    records = []
     # every level is checked before the first visualization runs
-    for gray in sorted(check_gray_level(int(g)) for g in gray_levels):
-        init = constant_image(h, w, float(gray))
-        try:
-            final, trace = visualize(model, target_class, init, schedule, config, stop)
-            emap = entropy_map(to_grayscale(final), window=window, stride=stride)
-            total, _ = second_order_entropy(emap)
-            records.append(
-                InitRecord(
-                    gray=gray,
-                    status=trace.status,
-                    image_id=image_id(final),
-                    avg_gray_change=avg_gray_change(init, final),
-                    second_order_total=total,
-                )
-            )
-        except (TivisError, ValueError) as exc:
-            records.append(InitRecord(gray=gray, status="error", error=str(exc)))
+    levels = sorted(check_gray_level(int(g)) for g in gray_levels)
+    run_level = functools.partial(
+        _sweep_level, model, target_class, schedule, config, stop, window, stride
+    )
+    workers = _sweep_workers(len(levels))
+    if workers == 1:
+        records = [run_level(gray) for gray in levels]
+    else:
+        # forked workers inherit run_level, model included, so only the gray
+        # levels and the records are pickled
+        with multiprocessing.get_context("fork").Pool(
+            workers, _start_sweep_worker, (run_level,)
+        ) as pool:
+            records = pool.map(_sweep_in_worker, levels, chunksize=1)
+            pool.close()
+            pool.join()
     best = None
     best_total = -np.inf
     for rec in records:  # ascending gray order: strict > keeps the smaller tie
@@ -229,6 +232,66 @@ def init_sweep(
             best = rec.gray
             best_total = rec.second_order_total
     return SweepReport(records=records, best_init=best, window=window, stride=stride)
+
+
+def _sweep_level(model, target_class, schedule, config, stop, window, stride, gray) -> InitRecord:
+    """Visualize from one constant gray level and rank the result."""
+    from .visualizer import visualize  # local import to avoid a cycle
+
+    _, h, w = model.input_shape
+    init = constant_image(h, w, float(gray))
+    try:
+        final, trace = visualize(model, target_class, init, schedule, config, stop)
+        emap = entropy_map(to_grayscale(final), window=window, stride=stride)
+        total, _ = second_order_entropy(emap)
+        return InitRecord(
+            gray=gray,
+            status=trace.status,
+            image_id=image_id(final),
+            avg_gray_change=avg_gray_change(init, final),
+            second_order_total=total,
+        )
+    except (TivisError, ValueError) as exc:
+        return InitRecord(gray=gray, status="error", error=str(exc))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; taskset restricts them."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _sweep_workers(n_levels: int) -> int:
+    """Worker processes for a sweep of n_levels; 1 runs it in-process.
+
+    Each worker runs the BLAS thread count the user set, or one (pinned by
+    the worker) when none is set; together the workers use at most every
+    usable CPU. Without fork the workers could not inherit the model, and a
+    daemonic process may not start children.
+    """
+    if (
+        "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+    ):
+        return 1
+    threads = nn.user_blas_threads()
+    if threads is None and nn.openblas_thread_setter() is not None:
+        threads = 1
+    if not threads:  # a BLAS thread per CPU in each worker: run in-process
+        return 1
+    return max(1, min(n_levels, _usable_cpus() // threads))
+
+
+_worker_run_level = None  # set in each forked sweep worker by _start_sweep_worker
+
+
+def _start_sweep_worker(run_level) -> None:
+    global _worker_run_level
+    _worker_run_level = run_level
+    nn.pin_blas_to_one_thread()
+
+
+def _sweep_in_worker(gray) -> InitRecord:
+    return _worker_run_level(gray)
 
 
 def image_id(image: np.ndarray) -> str:

@@ -80,6 +80,64 @@ def _pin_malloc_thresholds() -> bool:
 
 _MALLOC_THRESHOLDS_PINNED = _pin_malloc_thresholds()
 
+# environment variables through which a user sets the BLAS thread count (the
+# first wins, as in OpenBLAS), and OpenBLAS's thread-count setter as numpy's
+# bundled scipy-openblas and a plain build export it
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def user_blas_threads() -> int | None:
+    """The BLAS thread count the user set through the environment.
+
+    None when no variable is set. A value that is not a positive count
+    (empty, 0, text) leaves OpenBLAS at its default of one thread per CPU,
+    and reads as 0.
+    """
+    for var in BLAS_THREAD_VARS:
+        if var in os.environ:
+            try:
+                return max(int(os.environ[var].split(",")[0]), 0)
+            except ValueError:
+                return 0
+    return None
+
+
+def openblas_thread_setter():
+    """OpenBLAS's set-num-threads function as loaded by numpy, or None.
+
+    dlsym on numpy's linalg extension also searches the libraries it links,
+    which is where the BLAS numpy uses lives.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in _OPENBLAS_SETTERS:
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes = (ctypes.c_int,)
+            setter.restype = None
+            return setter
+    return None
+
+
+def pin_blas_to_one_thread() -> bool:
+    """Run the loaded OpenBLAS on one thread, unless the user set a count.
+
+    Called in each worker process of a parallel sweep: with the default of
+    one BLAS thread per CPU, workers on every CPU would oversubscribe them.
+    Returns whether the count was set.
+    """
+    if user_blas_threads() is not None:
+        return False
+    setter = openblas_thread_setter()
+    if setter is None:
+        return False
+    setter(1)
+    return True
+
+
 PIXEL_NORMS = ("unit_01", "signed_11")
 
 OBJECTIVES = ("softmax_confidence", "logit")
@@ -159,7 +217,11 @@ class Conv2d:
         s, p = self.stride, self.padding
         ho = (h + 2 * p - kh) // s + 1
         wo = (w + 2 * p - kw) // s + 1
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+        if p:
+            xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+            xp[:, :, p : p + h, p : p + w] = x
+        else:
+            xp = x
         win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
         win = win[:, :, ::s, ::s][:, :, :ho, :wo]
         # columns (N, C*kh*kw, Ho*Wo); this axis order keeps the copy reading
@@ -168,7 +230,8 @@ class Conv2d:
             n, ic * kh * kw, ho * wo
         )
         wmat = self.weight.reshape(oc, -1)
-        y = np.matmul(wmat, cols) + self.bias[:, None]
+        y = np.matmul(wmat, cols)
+        y += self.bias[:, None]
         return y.reshape(n, oc, ho, wo), (x.shape, cols)
 
     def backward(self, dy, cache, param_grads=True):

@@ -34,8 +34,9 @@ def write_ppm(image: np.ndarray, path) -> None:
 def read_ppm(path) -> np.ndarray:
     with open(path, "rb") as f:
         raw = f.read()
-    if raw[:2] != b"P6":
-        raise PpmMagicError(f"expected P6 magic, got {raw[:2]!r}")
+    # the magic ends at whitespace or a comment: b"P65 5 255" is not P6
+    if raw[:2] != b"P6" or raw[2:3] not in (b" ", b"\t", b"\r", b"\n", b"#"):
+        raise PpmMagicError(f"expected P6 magic followed by whitespace, got {raw[:3]!r}")
     pos = 2
     fields = []
     while len(fields) < 3:

@@ -1,3 +1,7 @@
+import ctypes
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,8 @@ from helpers import (
 )
 
 from tivis import entropy as E
+from tivis import nn
+from tivis.reports import sweep_report
 from tivis.transforms import constant_image
 from tivis.visualizer import OptimConfig, StoppingCriterion
 
@@ -318,3 +324,140 @@ class TestInitSweep:
         assert E.DEFAULT_GRAY_LEVELS[0] == 0
         assert E.DEFAULT_GRAY_LEVELS[-2:] == (250, 255)
         assert all(b - a == 10 for a, b in zip(E.DEFAULT_GRAY_LEVELS[:25], E.DEFAULT_GRAY_LEVELS[1:26]))
+
+
+def _clear_blas_thread_vars(monkeypatch):
+    for var in nn.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+
+
+class TestParallelSweep:
+    _setup = TestInitSweep._setup
+    levels = (0, 60, 120, 200, 255)
+
+    def _two_workers(self, monkeypatch):
+        monkeypatch.setattr(E, "_usable_cpus", lambda: 2)
+        _clear_blas_thread_vars(monkeypatch)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert E._sweep_workers(len(self.levels)) == 2
+
+    def test_workers_match_one_level_sweeps_and_in_process_report(self, monkeypatch):
+        model, schedule, config, stop = self._setup()
+
+        def report(sweep):
+            return sweep_report(sweep, config, stop, 0, "bright", "rot:90", "rot-sweep:90")
+
+        self._two_workers(monkeypatch)
+        pooled = E.init_sweep(model, 0, schedule, config, stop, gray_levels=self.levels[::-1])
+        assert multiprocessing.active_children() == []
+        alone = [
+            E.init_sweep(model, 0, schedule, config, stop, gray_levels=(g,)).records[0]
+            for g in self.levels
+        ]
+        assert pooled.records == alone
+        monkeypatch.setattr(E, "_usable_cpus", lambda: 1)
+        assert E._sweep_workers(len(self.levels)) == 1
+        in_process = E.init_sweep(model, 0, schedule, config, stop, gray_levels=self.levels)
+        assert report(pooled) == report(in_process)
+        assert pooled.best_init == in_process.best_init
+
+    def test_levels_run_in_worker_processes(self, monkeypatch):
+        model, schedule, config, stop = self._setup()
+        import tivis.visualizer as viz
+
+        def report_pid(*args):
+            raise ValueError(f"pid {os.getpid()}")
+
+        monkeypatch.setattr(viz, "visualize", report_pid)
+        self._two_workers(monkeypatch)
+        report = E.init_sweep(model, 0, schedule, config, stop, gray_levels=self.levels)
+        assert [r.gray for r in report.records] == list(self.levels)
+        pids = {int(r.error.split()[1]) for r in report.records}
+        assert os.getpid() not in pids
+        assert report.best_init is None
+
+    @pytest.mark.skipif(nn.openblas_thread_setter() is None, reason="numpy without OpenBLAS")
+    def test_workers_pin_openblas_to_one_thread(self, monkeypatch):
+        model, schedule, config, stop = self._setup()
+        import tivis.visualizer as viz
+
+        setter = nn.openblas_thread_setter()
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        get_threads = getattr(lib, setter.__name__.replace("set_", "get_"))
+        get_threads.restype = ctypes.c_int
+
+        def report_threads(*args):
+            raise ValueError(f"threads {get_threads()}")
+
+        monkeypatch.setattr(viz, "visualize", report_threads)
+        monkeypatch.setattr(E, "_usable_cpus", lambda: 2)
+        _clear_blas_thread_vars(monkeypatch)
+        before = get_threads()
+        setter(2)  # the workers inherit two threads and must drop to one
+        try:
+            report = E.init_sweep(model, 0, schedule, config, stop, gray_levels=self.levels)
+        finally:
+            setter(before)
+        assert {r.error for r in report.records} == {"threads 1"}
+
+    def test_no_worker_outlives_an_unrecorded_failure(self, monkeypatch):
+        model, schedule, config, stop = self._setup()
+        import tivis.visualizer as viz
+
+        def crash(*args):
+            raise RuntimeError("not a recorded failure")
+
+        monkeypatch.setattr(viz, "visualize", crash)
+        self._two_workers(monkeypatch)
+        with pytest.raises(RuntimeError, match="not a recorded failure"):
+            E.init_sweep(model, 0, schedule, config, stop, gray_levels=self.levels)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "cpus, var, value, pin, levels, workers",
+        [
+            (2, None, None, True, 27, 2),
+            (2, None, None, False, 27, 1),  # unpinnable: a BLAS thread per CPU in each worker
+            (1, None, None, True, 27, 1),
+            (8, None, None, True, 3, 3),  # never more workers than levels
+            (2, "OPENBLAS_NUM_THREADS", "1", False, 27, 2),
+            (2, "OPENBLAS_NUM_THREADS", "2", True, 27, 1),
+            (4, "OMP_NUM_THREADS", "2", True, 27, 2),
+            (5, "MKL_NUM_THREADS", "2", True, 27, 2),
+            (3, "OMP_NUM_THREADS", "4,2", True, 27, 1),
+            (2, "OPENBLAS_NUM_THREADS", "0", True, 27, 1),  # the library default: all CPUs
+            (2, "OPENBLAS_NUM_THREADS", "", True, 27, 1),
+            (2, "OPENBLAS_NUM_THREADS", "two", True, 27, 1),
+        ],
+    )
+    def test_worker_count_rule(self, monkeypatch, cpus, var, value, pin, levels, workers):
+        monkeypatch.setattr(E, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(nn, "openblas_thread_setter", lambda: (lambda n: None) if pin else None)
+        _clear_blas_thread_vars(monkeypatch)
+        if var is not None:
+            monkeypatch.setenv(var, value)
+        assert E._sweep_workers(levels) == workers
+
+    @pytest.mark.parametrize("blocker", ["no fork", "daemon"])
+    def test_no_workers_without_fork_or_in_a_daemon(self, monkeypatch, blocker):
+        monkeypatch.setattr(E, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(nn, "openblas_thread_setter", lambda: lambda n: None)
+        _clear_blas_thread_vars(monkeypatch)
+        assert E._sweep_workers(27) == 4
+        if blocker == "no fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        else:
+            monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        assert E._sweep_workers(27) == 1
+
+    @pytest.mark.parametrize("var", nn.BLAS_THREAD_VARS)
+    def test_blas_pin_leaves_a_user_setting_alone(self, monkeypatch, var):
+        calls = []
+        monkeypatch.setattr(nn, "openblas_thread_setter", lambda: calls.append)
+        _clear_blas_thread_vars(monkeypatch)
+        monkeypatch.setenv(var, "3")
+        assert nn.pin_blas_to_one_thread() is False
+        assert calls == []
+        monkeypatch.delenv(var)
+        assert nn.pin_blas_to_one_thread() is True
+        assert calls == [1]

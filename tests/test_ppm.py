@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tivis.errors import PpmDepthError, PpmError, PpmMagicError, PpmTruncatedError
+from tivis.errors import PpmDepthError, PpmError, PpmMagicError, PpmTruncatedError, TivisError
 from tivis.ppm import read_ppm, write_ppm
 
 
@@ -51,6 +53,14 @@ def test_bad_magic(tmp_path):
         read_ppm(path)
 
 
+def test_magic_must_end_at_whitespace(tmp_path):
+    # "P65 5 255" once read as a P6 header for a 5x5 image
+    path = tmp_path / "p65.ppm"
+    path.write_bytes(b"P65 5 255\n" + bytes(75))
+    with pytest.raises(PpmMagicError):
+        read_ppm(path)
+
+
 def test_unsupported_depth(tmp_path):
     path = tmp_path / "deep.ppm"
     path.write_bytes(b"P6\n1 1\n65535\n\x00\x00\x00\x00\x00\x00")
@@ -75,3 +85,41 @@ def test_bad_dimensions(tmp_path):
 def test_write_rejects_non_image():
     with pytest.raises(ValueError):
         write_ppm(np.zeros((4, 4)), "/tmp/never.ppm")
+
+
+@pytest.fixture(scope="module")
+def ppm_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("ppm") / "x.ppm"
+
+
+def _read_raises_only_tivis_or_value_errors(path, raw):
+    path.write_bytes(raw)
+    try:
+        read_ppm(path)
+    except (TivisError, ValueError):
+        pass
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(raw=st.one_of(st.binary(max_size=40), st.binary(max_size=40).map(lambda b: b"P6" + b)))
+def test_arbitrary_bytes_raise_only_tivis_or_value_errors(ppm_file, raw):
+    _read_raises_only_tivis_or_value_errors(ppm_file, raw)
+
+
+_HEADER_FRAGMENTS = st.one_of(
+    st.binary(max_size=4),
+    st.sampled_from(
+        [b" ", b"\n", b"\t", b"#", b"# c\n", b"P6", b"P5", b"0", b"1", b"-1", b"+2", b"255",
+         b"65535", b"1_0", b"99999999999999999999", b"\xff"]
+    ),
+)
+_VALID = b"P6\n2 1\n255\n" + bytes([10, 20, 30, 40, 50, 60])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_header_raises_only_tivis_or_value_errors(ppm_file, data):
+    start = data.draw(st.integers(0, 11), label="start")
+    end = data.draw(st.integers(start, 11), label="end")
+    insert = b"".join(data.draw(st.lists(_HEADER_FRAGMENTS, max_size=3), label="insert"))
+    _read_raises_only_tivis_or_value_errors(ppm_file, _VALID[:start] + insert + _VALID[end:])

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tivis import nn
 from tivis import transforms as T
+from tivis.errors import TivisError
 
 
 def _random_image(seed, n=16):
@@ -223,3 +226,20 @@ class TestRunBattery:
         before = img.copy()
         T.run_battery(model, img, 0, T.parse_transform_list("rot-sweep:90,flip:h,scale:0.5"))
         np.testing.assert_array_equal(img, before)
+
+
+_SPEC_FRAGMENTS = st.sampled_from(
+    ["rot", "rot-sweep", "flip", "scale", "ROT", ":", ",", "x", " ", "h", "v", "horizontal",
+     "0", "-0", "1", "10", "-360", "359.9", "1e-300", "1e308", "nan", "inf", "-inf", "3600",
+     "3601", "99999999999999999999", "0x10", "1_0"]
+)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(text=st.one_of(st.text(max_size=30), st.lists(_SPEC_FRAGMENTS, max_size=10).map("".join)))
+def test_parse_transform_list_raises_only_tivis_or_value_errors(text):
+    try:
+        specs = T.parse_transform_list(text)
+    except (TivisError, ValueError):
+        return
+    assert 1 <= len(specs) <= T.MAX_TRANSFORMS
