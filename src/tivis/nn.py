@@ -80,67 +80,13 @@ def _pin_malloc_thresholds() -> bool:
 
 _MALLOC_THRESHOLDS_PINNED = _pin_malloc_thresholds()
 
-# environment variables through which a user sets the BLAS thread count (the
-# first wins, as in OpenBLAS), and OpenBLAS's thread-count setter as numpy's
-# bundled scipy-openblas and a plain build export it
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
-
-
-def user_blas_threads() -> int | None:
-    """The BLAS thread count the user set through the environment.
-
-    None when no variable is set. A value that is not a positive count
-    (empty, 0, text) leaves OpenBLAS at its default of one thread per CPU,
-    and reads as 0.
-    """
-    for var in BLAS_THREAD_VARS:
-        if var in os.environ:
-            try:
-                return max(int(os.environ[var].split(",")[0]), 0)
-            except ValueError:
-                return 0
-    return None
-
-
-def openblas_thread_setter():
-    """OpenBLAS's set-num-threads function as loaded by numpy, or None.
-
-    dlsym on numpy's linalg extension also searches the libraries it links,
-    which is where the BLAS numpy uses lives.
-    """
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except (AttributeError, OSError):
-        return None
-    for name in _OPENBLAS_SETTERS:
-        setter = getattr(lib, name, None)
-        if setter is not None:
-            setter.argtypes = (ctypes.c_int,)
-            setter.restype = None
-            return setter
-    return None
-
-
-def pin_blas_to_one_thread() -> bool:
-    """Run the loaded OpenBLAS on one thread, unless the user set a count.
-
-    Called in each worker process of a parallel sweep: with the default of
-    one BLAS thread per CPU, workers on every CPU would oversubscribe them.
-    Returns whether the count was set.
-    """
-    if user_blas_threads() is not None:
-        return False
-    setter = openblas_thread_setter()
-    if setter is None:
-        return False
-    setter(1)
-    return True
-
-
 PIXEL_NORMS = ("unit_01", "signed_11")
 
 OBJECTIVES = ("softmax_confidence", "logit")
+
+# the largest image side, of the input or of a conv's padded input, that a
+# model may declare: it bounds the arrays a model file can make a run build
+MAX_SIDE = 1024
 
 
 def pixel_norm_slope(pixel_norm: str) -> float:
@@ -202,8 +148,11 @@ class Conv2d:
             raise ShapeChainError(f"conv2d bias shape {self.bias.shape} does not match {oc} outputs")
         if self.stride < 1:
             raise ShapeChainError(f"conv2d stride must be >= 1, got {self.stride}")
-        ho = (h + 2 * self.padding - kh) // self.stride + 1
-        wo = (w + 2 * self.padding - kw) // self.stride + 1
+        hp, wp = h + 2 * self.padding, w + 2 * self.padding
+        if max(hp, wp) > MAX_SIDE:
+            raise ShapeChainError(f"conv2d padded input {hp}x{wp} exceeds the side limit {MAX_SIDE}")
+        ho = (hp - kh) // self.stride + 1
+        wo = (wp - kw) // self.stride + 1
         if ho < 1 or wo < 1:
             raise ShapeChainError(
                 f"conv2d kernel {kh}x{kw} does not fit input {h}x{w} "
@@ -379,6 +328,8 @@ class Model:
             raise ValueError(f"unknown pixel_norm {self.pixel_norm!r}")
         if len(self.input_shape) != 3 or self.input_shape[0] != 3:
             raise ShapeChainError(f"input_shape must be (3, H, W), got {self.input_shape}")
+        if max(self.input_shape[1:]) > MAX_SIDE:
+            raise ShapeChainError(f"input_shape {self.input_shape} exceeds the side limit {MAX_SIDE}")
         shape = tuple(self.input_shape)
         for i, layer in enumerate(self.layers):
             try:

@@ -9,11 +9,13 @@ textbook definition.
 
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
 
 from tivis import nn
+from tivis.parallel import BLAS_THREAD_VARS, _openblas_thread_setter
 
 
 # --------------------------------------------------------------------------
@@ -304,3 +306,22 @@ def luma_direct(r, g, b):
 def write_model_file(path, manifest: bytes, blob: bytes = b"") -> None:
     """Write a GBXM file around a hand-made manifest, bypassing save_model."""
     path.write_bytes(b"GBXM" + bytes([1]) + len(manifest).to_bytes(8, "little") + manifest + blob)
+
+
+# --------------------------------------------------------------------------
+# BLAS thread control for the fork_map tests
+
+
+def clear_blas_thread_vars(monkeypatch):
+    """Unset every BLAS thread variable for the test."""
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+
+
+def openblas_thread_functions():
+    """(set, get) of the loaded OpenBLAS's thread count; needs OpenBLAS."""
+    setter = _openblas_thread_setter()
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    getter = getattr(lib, setter.__name__.replace("set_", "get_"))
+    getter.restype = ctypes.c_int
+    return setter, getter

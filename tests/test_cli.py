@@ -7,7 +7,7 @@ from helpers import write_model_file
 
 from tivis.cli import main
 from tivis.model_io import load_model, save_model
-from tivis.nn import Dense, Flatten, Model
+from tivis.nn import MAX_SIDE, Dense, Flatten, Model
 from tivis.ppm import read_ppm, write_ppm
 from tivis.shapes import load_dataset
 
@@ -292,3 +292,32 @@ def test_sweep_init_rejects_init(confident_model_file, capsys):
         main(["sweep-init", "--model", str(confident_model_file), "--class", "beta", "--init", "40"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --init 40" in capsys.readouterr().err
+
+
+OVERSIZED_MODELS = {
+    # 1x1 conv on a 4x4 input padded to 200004x200004
+    "conv pad": ("4 4", "pad=100000", "layer 0 (conv2d): conv2d padded input 200004x200004"),
+    "input side": ("100000 100000", "pad=0", "input_shape (3, 100000, 100000)"),
+}
+
+
+@pytest.mark.parametrize("command", ["classify", "visualize"])
+@pytest.mark.parametrize("case", sorted(OVERSIZED_MODELS))
+def test_oversized_model_rejected_before_any_array(tmp_path, capsys, case, command):
+    side, pad, message = OVERSIZED_MODELS[case]
+    manifest = (
+        f"pixel_norm unit_01\ninput_shape 3 {side}\nclasses a b\n"
+        f"layer conv2d out=2 in=3 kh=1 kw=1 stride=1 {pad} w=0:48 b=48:16\n"
+        "layer avgpool_global\nblob_bytes 64\n"
+    )
+    path = tmp_path / "big.gbxm"
+    write_model_file(path, manifest.encode(), bytes(64))
+    img = tmp_path / "x.ppm"
+    write_ppm(np.zeros((4, 4, 3)), img)
+    args = [img] if command == "classify" else ["--class", "a", "--init", "0", "--out", tmp_path / "v.ppm"]
+    code = main([command, "--model", str(path), *map(str, args)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ShapeChainError: {message}")
+    assert err.endswith(f"exceeds the side limit {MAX_SIDE}\n")
+    assert err.count("\n") == 1

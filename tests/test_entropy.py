@@ -1,4 +1,3 @@
-import ctypes
 import multiprocessing
 import os
 
@@ -6,14 +5,16 @@ import numpy as np
 import pytest
 
 from helpers import (
+    clear_blas_thread_vars,
     cooccurrence_direct,
     entropy_direct,
     entropy_of_gray_direct,
     luma_direct,
+    openblas_thread_functions,
 )
 
 from tivis import entropy as E
-from tivis import nn
+from tivis import parallel as P
 from tivis.reports import sweep_report
 from tivis.transforms import constant_image
 from tivis.visualizer import OptimConfig, StoppingCriterion
@@ -326,20 +327,17 @@ class TestInitSweep:
         assert all(b - a == 10 for a, b in zip(E.DEFAULT_GRAY_LEVELS[:25], E.DEFAULT_GRAY_LEVELS[1:26]))
 
 
-def _clear_blas_thread_vars(monkeypatch):
-    for var in nn.BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-
-
 class TestParallelSweep:
+    """The sweep's levels go through parallel.fork_map; its worker rule is tested here."""
+
     _setup = TestInitSweep._setup
     levels = (0, 60, 120, 200, 255)
 
     def _two_workers(self, monkeypatch):
-        monkeypatch.setattr(E, "_usable_cpus", lambda: 2)
-        _clear_blas_thread_vars(monkeypatch)
+        monkeypatch.setattr(P, "_usable_cpus", lambda: 2)
+        clear_blas_thread_vars(monkeypatch)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert E._sweep_workers(len(self.levels)) == 2
+        assert P._worker_count(len(self.levels), P._blas_plan()[0]) == 2
 
     def test_workers_match_one_level_sweeps_and_in_process_report(self, monkeypatch):
         model, schedule, config, stop = self._setup()
@@ -355,8 +353,8 @@ class TestParallelSweep:
             for g in self.levels
         ]
         assert pooled.records == alone
-        monkeypatch.setattr(E, "_usable_cpus", lambda: 1)
-        assert E._sweep_workers(len(self.levels)) == 1
+        monkeypatch.setattr(P, "_usable_cpus", lambda: 1)
+        assert P._worker_count(len(self.levels), P._blas_plan()[0]) == 1
         in_process = E.init_sweep(model, 0, schedule, config, stop, gray_levels=self.levels)
         assert report(pooled) == report(in_process)
         assert pooled.best_init == in_process.best_init
@@ -376,26 +374,24 @@ class TestParallelSweep:
         assert os.getpid() not in pids
         assert report.best_init is None
 
-    @pytest.mark.skipif(nn.openblas_thread_setter() is None, reason="numpy without OpenBLAS")
+    @pytest.mark.skipif(P._openblas_thread_setter() is None, reason="numpy without OpenBLAS")
     def test_workers_pin_openblas_to_one_thread(self, monkeypatch):
         model, schedule, config, stop = self._setup()
         import tivis.visualizer as viz
 
-        setter = nn.openblas_thread_setter()
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-        get_threads = getattr(lib, setter.__name__.replace("set_", "get_"))
-        get_threads.restype = ctypes.c_int
+        setter, get_threads = openblas_thread_functions()
 
         def report_threads(*args):
             raise ValueError(f"threads {get_threads()}")
 
         monkeypatch.setattr(viz, "visualize", report_threads)
-        monkeypatch.setattr(E, "_usable_cpus", lambda: 2)
-        _clear_blas_thread_vars(monkeypatch)
+        monkeypatch.setattr(P, "_usable_cpus", lambda: 2)
+        clear_blas_thread_vars(monkeypatch)
         before = get_threads()
         setter(2)  # the workers inherit two threads and must drop to one
         try:
             report = E.init_sweep(model, 0, schedule, config, stop, gray_levels=self.levels)
+            assert get_threads() == 2  # the parent keeps its own count
         finally:
             setter(before)
         assert {r.error for r in report.records} == {"threads 1"}
@@ -431,33 +427,32 @@ class TestParallelSweep:
         ],
     )
     def test_worker_count_rule(self, monkeypatch, cpus, var, value, pin, levels, workers):
-        monkeypatch.setattr(E, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(nn, "openblas_thread_setter", lambda: (lambda n: None) if pin else None)
-        _clear_blas_thread_vars(monkeypatch)
+        monkeypatch.setattr(P, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(P, "_openblas_thread_setter", lambda: (lambda n: None) if pin else None)
+        clear_blas_thread_vars(monkeypatch)
         if var is not None:
             monkeypatch.setenv(var, value)
-        assert E._sweep_workers(levels) == workers
+        assert P._worker_count(levels, P._blas_plan()[0]) == workers
 
     @pytest.mark.parametrize("blocker", ["no fork", "daemon"])
     def test_no_workers_without_fork_or_in_a_daemon(self, monkeypatch, blocker):
-        monkeypatch.setattr(E, "_usable_cpus", lambda: 4)
-        monkeypatch.setattr(nn, "openblas_thread_setter", lambda: lambda n: None)
-        _clear_blas_thread_vars(monkeypatch)
-        assert E._sweep_workers(27) == 4
+        monkeypatch.setattr(P, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(P, "_openblas_thread_setter", lambda: lambda n: None)
+        clear_blas_thread_vars(monkeypatch)
+        assert P._worker_count(27, P._blas_plan()[0]) == 4
         if blocker == "no fork":
             monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         else:
             monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
-        assert E._sweep_workers(27) == 1
+        assert P._worker_count(27, P._blas_plan()[0]) == 1
 
-    @pytest.mark.parametrize("var", nn.BLAS_THREAD_VARS)
+    @pytest.mark.parametrize("var", P.BLAS_THREAD_VARS)
     def test_blas_pin_leaves_a_user_setting_alone(self, monkeypatch, var):
         calls = []
-        monkeypatch.setattr(nn, "openblas_thread_setter", lambda: calls.append)
-        _clear_blas_thread_vars(monkeypatch)
+        monkeypatch.setattr(P, "_openblas_thread_setter", lambda: calls.append)
+        clear_blas_thread_vars(monkeypatch)
         monkeypatch.setenv(var, "3")
-        assert nn.pin_blas_to_one_thread() is False
-        assert calls == []
+        assert P._blas_plan() == (3, None)
         monkeypatch.delenv(var)
-        assert nn.pin_blas_to_one_thread() is True
-        assert calls == [1]
+        assert P._blas_plan() == (1, calls.append)
+        assert calls == []  # the plan never changes the parent's own BLAS threads

@@ -164,3 +164,31 @@ def test_mutated_manifest_raises_only_tivis_or_value_errors(saved_model, data):
         load_model(path)
     except (TivisError, ValueError):
         pass
+
+
+@pytest.fixture(scope="module")
+def model_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("round_trip") / "m.gbxm"
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_save_then_load_is_bit_exact(model_path, seed):
+    model, image = random_small_model(seed)
+    save_model(model, model_path)
+    saved = model_path.read_bytes()
+    loaded = load_model(model_path)
+    assert (loaded.pixel_norm, loaded.input_shape, loaded.class_names) == (
+        model.pixel_norm, tuple(model.input_shape), tuple(model.class_names)
+    )
+    assert [layer.kind for layer in loaded.layers] == [layer.kind for layer in model.layers]
+    for a, b in zip(model.layers, loaded.layers):
+        for name, value in vars(a).items():
+            if isinstance(value, np.ndarray):
+                assert getattr(b, name).dtype == np.float64
+                assert getattr(b, name).tobytes() == value.tobytes()
+            else:
+                assert getattr(b, name) == value
+    assert nn.forward(loaded, image).logits.tobytes() == nn.forward(model, image).logits.tobytes()
+    save_model(loaded, model_path)
+    assert model_path.read_bytes() == saved

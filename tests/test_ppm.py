@@ -123,3 +123,11 @@ def test_mutated_header_raises_only_tivis_or_value_errors(ppm_file, data):
     end = data.draw(st.integers(start, 11), label="end")
     insert = b"".join(data.draw(st.lists(_HEADER_FRAGMENTS, max_size=3), label="insert"))
     _read_raises_only_tivis_or_value_errors(ppm_file, _VALID[:start] + insert + _VALID[end:])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(h=st.integers(1, 40), w=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_write_then_read_is_identity_on_integer_images(ppm_file, h, w, seed):
+    img = np.random.default_rng(seed).integers(0, 256, (h, w, 3)).astype(np.float64)
+    write_ppm(img, ppm_file)
+    np.testing.assert_array_equal(read_ppm(ppm_file), img)
