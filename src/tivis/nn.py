@@ -31,12 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    InvalidClassError,
-    NonFiniteError,
-    ShapeChainError,
-    ShapeMismatchError,
-)
+from .errors import InvalidClassError, NonFiniteError, ShapeChainError, ShapeMismatchError
 
 # mallopt parameter numbers from glibc's malloc.h, and the environment
 # variables through which a user sets malloc parameters themselves
@@ -110,6 +105,11 @@ def zero_display_value(pixel_norm: str) -> float:
 def normalize_images(pixel_norm: str, images: np.ndarray) -> np.ndarray:
     """(N, H, W, 3) display units -> (N, 3, H, W) normalized float64."""
     x = np.ascontiguousarray(np.transpose(images, (0, 3, 1, 2)), dtype=np.float64)
+    return _normalize(pixel_norm, x)
+
+
+def _normalize(pixel_norm: str, x: np.ndarray) -> np.ndarray:
+    """Display units -> normalized, elementwise, in any layout."""
     if pixel_norm == "unit_01":
         return x / 255.0
     if pixel_norm == "signed_11":
@@ -126,6 +126,7 @@ def normalize_images(pixel_norm: str, images: np.ndarray) -> np.ndarray:
 #   backward(dy, cache, param_grads=True) -> (dx, grads)
 #                         grads is (dW, db) for layers with parameters when
 #                         param_grads is true, None otherwise
+# Layers with parameters also implement weight_grads(dy, cache) -> (dW, db).
 # Batched activations: images (N, C, H, W), vectors (N, D).
 
 
@@ -171,39 +172,46 @@ class Conv2d:
             xp[:, :, p : p + h, p : p + w] = x
         else:
             xp = x
-        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-        win = win[:, :, ::s, ::s][:, :, :ho, :wo]
-        # columns (N, C*kh*kw, Ho*Wo); this axis order keeps the copy reading
-        # contiguous rows of the padded input
-        cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(
-            n, ic * kh * kw, ho * wo
-        )
+        # columns (N, C*kh*kw, Ho*Wo), one strided tap slice of the padded
+        # input at a time
+        cols = np.empty((n, c, kh, kw, ho, wo), dtype=xp.dtype)
+        for ki in range(kh):
+            for kj in range(kw):
+                cols[:, :, ki, kj] = xp[:, :, ki : ki + s * ho : s, kj : kj + s * wo : s]
+        cols = cols.reshape(n, ic * kh * kw, ho * wo)
         wmat = self.weight.reshape(oc, -1)
         y = np.matmul(wmat, cols)
         y += self.bias[:, None]
         return y.reshape(n, oc, ho, wo), (x.shape, cols)
 
     def backward(self, dy, cache, param_grads=True):
-        xshape, cols = cache
-        n, c, h, w = xshape
+        n, _, h, w = cache[0]
         oc, ic, kh, kw = self.weight.shape
         s, p = self.stride, self.padding
         ho, wo = dy.shape[2], dy.shape[3]
-        dy3 = dy.reshape(n, oc, ho * wo)
-        wmat = self.weight.reshape(oc, -1)
-        dcols = np.matmul(wmat.T, dy3)  # (N, IC*kh*kw, Ho*Wo)
-        dxp = np.zeros((n, c, h + 2 * p, w + 2 * p))
-        dcols6 = dcols.reshape(n, ic, kh, kw, ho, wo)
-        for ki in range(kh):
-            for kj in range(kw):
-                dxp[:, :, ki : ki + s * ho : s, kj : kj + s * wo : s] += dcols6[
-                    :, :, ki, kj
-                ]
-        dx = dxp[:, :, p : p + h, p : p + w] if p else dxp
-        if not param_grads:
-            return dx, None
-        dw = np.matmul(dy3, cols.transpose(0, 2, 1)).sum(axis=0)
-        return dx, (dw.reshape(self.weight.shape), dy.sum(axis=(0, 2, 3)))
+        hp, wp = h + 2 * p, w + 2 * p
+        # col2im on flat rows of the padded width wp: with dy padded by zero
+        # columns to wp, output (i, j) of tap (ki, kj) lands at flat
+        # s * (i * wp + j) + ki * wp + kj, so each tap adds one strided flat
+        # slice, in (ki, kj) order; the padding adds zeros to sums that start
+        # at +0.0, which leaves every bit as the 2-D window loop had it
+        dyp = np.zeros((n, oc, ho, wp))
+        dyp[:, :, :, :wo] = dy
+        dcols = np.matmul(self.weight.reshape(oc, -1).T, dyp.reshape(n, oc, ho * wp))
+        dcols = dcols.reshape(n, ic, kh * kw, ho * wp)
+        dxf = np.zeros((n, ic, (s * ho + kh) * wp))
+        for k in range(kh * kw):
+            at = k // kw * wp + k % kw
+            dxf[:, :, at : at + s * ho * wp : s] += dcols[:, :, k]
+        dx = dxf[:, :, : hp * wp].reshape(n, ic, hp, wp)[:, :, p : p + h, p : p + w]
+        return dx, (self.weight_grads(dy, cache) if param_grads else None)
+
+    def weight_grads(self, dy, cache):
+        """(dW, db) of a backward pass, without the input gradient."""
+        n, oc = dy.shape[:2]
+        dy3 = dy.reshape(n, oc, -1)
+        dw = np.matmul(dy3, cache[1].transpose(0, 2, 1)).sum(axis=0)
+        return dw.reshape(self.weight.shape), dy.sum(axis=(0, 2, 3))
 
 
 @dataclass
@@ -240,16 +248,37 @@ class MaxPool2x2:
         # np.maximum returns its second argument on a tie, so this order keeps
         # the first tied position's value, sign of zero included
         y = np.maximum(np.maximum(q3, q2), np.maximum(q1, q0))
-        # winner index in (0,0) (0,1) (1,0) (1,1) order; ties go to the first
-        idx = np.where(q0 == y, 0, np.where(q1 == y, 1, np.where(q2 == y, 2, 3)))
+        # winner index in (0,0) (0,1) (1,0) (1,1) order, ties to the first:
+        # the count of leading quadrants that miss the maximum
+        n0 = q0 != y
+        n1 = n0 & (q1 != y)
+        n2 = n1 & (q2 != y)
+        idx = n0.view(np.uint8) + n1.view(np.uint8)
+        idx += n2.view(np.uint8)
         return y, (x.shape, idx)
+
+    def forward_relu(self, x):
+        """Relu.forward then forward, with the bits of that pair: relu(max) is
+        max(relu), and a window with no positive element gets +0.0 from
+        maximum(., 0.0) and winner 0, where the pair's tie of zeros puts it."""
+        m, (xshape, idx) = self.forward(x)
+        mask = m > 0
+        return np.maximum(m, 0.0), (xshape, idx * mask, mask)
+
+    def backward_relu(self, dy, cache, param_grads=True):
+        return self.backward(dy * cache[2], cache[:2])
 
     def backward(self, dy, cache, param_grads=True):
         xshape, idx = cache
         h, w = xshape[2] // 2 * 2, xshape[3] // 2 * 2
-        dx = np.zeros(xshape)
+        # the four quadrant writes cover an even input whole
+        dx = np.empty(xshape) if (h, w) == tuple(xshape[2:]) else np.zeros(xshape)
+        # where(idx == k, dy, +0.0) bit for bit, without its branches: the
+        # integer product of dy's bit pattern with 1 or 0
+        bits, dxbits = dy.view(np.int64), dx.view(np.int64)
         for k in range(4):
-            dx[:, :, k // 2 : h : 2, k % 2 : w : 2] = np.where(idx == k, dy, 0.0)
+            quadrant = dxbits[:, :, k // 2 : h : 2, k % 2 : w : 2]
+            np.multiply(bits, (idx == k).view(np.uint8), out=quadrant)
         return dx, None
 
 
@@ -305,10 +334,11 @@ class Dense:
         return x @ self.weight.T + self.bias, x
 
     def backward(self, dy, cache, param_grads=True):
-        dx = dy @ self.weight
-        if not param_grads:
-            return dx, None
-        return dx, (dy.T @ cache, dy.sum(axis=0))
+        return dy @ self.weight, (self.weight_grads(dy, cache) if param_grads else None)
+
+    def weight_grads(self, dy, cache):
+        """(dW, db) of a backward pass, without the input gradient."""
+        return dy.T @ cache, dy.sum(axis=0)
 
 
 # --------------------------------------------------------------------------
@@ -343,8 +373,7 @@ class Model:
                     )
         if shape != (len(self.class_names),):
             raise ShapeChainError(
-                f"final output shape {shape} does not match "
-                f"{len(self.class_names)} class names"
+                f"final output shape {shape} does not match {len(self.class_names)} class names"
             )
         return self
 
@@ -385,8 +414,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 # Forward / backward drivers
 
 
-def _input_batch(model: Model, image: np.ndarray) -> np.ndarray:
-    """Validate the model and one (H, W, 3) display image; return it as a normalized batch."""
+# ReLU, the pools and flatten map finite input to finite output, so checking
+# only these layers' outputs still names the layer that first went non-finite
+_UNBOUNDED_KINDS = ("conv2d", "dense", "avgpool_global")
+
+
+def check_input(model: Model, image: np.ndarray) -> np.ndarray:
+    """Validate the model and one (H, W, 3) display image; return it as float64."""
     model.validate()
     image = np.asarray(image, dtype=np.float64)
     c, h, w = model.input_shape
@@ -397,33 +431,87 @@ def _input_batch(model: Model, image: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(image)):
         raise NonFiniteError("image contains non-finite values")
-    return normalize_images(model.pixel_norm, image[None])
+    return image
 
 
 def forward_batch(model: Model, xnorm: np.ndarray, keep_caches: bool = True):
     """Run normalized (N, 3, H, W) input through the layers.
 
-    Returns (logits, caches); every intermediate activation is checked
-    finite so the non-finite case is caught at the layer that produced it.
+    A ReLU followed by a MaxPool2x2 runs as one fused step of the pool.
+    Returns (logits, caches), one (layer, backward, cache) per step.
     """
-    x = xnorm
-    caches = []
-    for i, layer in enumerate(model.layers):
-        x, cache = layer.forward(x)
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteError(f"layer {i} ({layer.kind}) produced non-finite values")
-        caches.append(cache if keep_caches else None)
+    x, caches, layers = xnorm, [], model.layers
+    i = 0
+    while i < len(layers):
+        layer = layers[i]
+        if layer.kind == "relu" and i + 1 < len(layers) and layers[i + 1].kind == "maxpool2x2":
+            i += 1
+            layer = layers[i]
+            x, cache = layer.forward_relu(x)
+            backward = layer.backward_relu
+        else:
+            x, cache = layer.forward(x)
+            backward = layer.backward
+            if layer.kind in _UNBOUNDED_KINDS and not np.all(np.isfinite(x)):
+                raise NonFiniteError(f"layer {i} ({layer.kind}) produced non-finite values")
+        if keep_caches:
+            caches.append((layer, backward, cache))
+        i += 1
     return x, caches
+
+
+def backward_batch(caches: list, d: np.ndarray, param_grads: bool = False):
+    """Back-propagate d, the gradient at the logits, through forward_batch's caches.
+
+    Returns (dx, grads): the input gradient and []; or, with param_grads,
+    None and the (layer, (dW, db)) of each layer with parameters, top first,
+    without computing the first step's unused input gradient.
+    """
+    grads = []
+    for k in range(len(caches) - 1, -1, -1):
+        layer, backward, cache = caches[k]
+        if param_grads and hasattr(layer, "weight_grads"):
+            grads.append((layer, layer.weight_grads(d, cache)))
+        if param_grads and k == 0:
+            return None, grads
+        d, _ = backward(d, cache, param_grads=False)
+    return d, grads
+
+
+def _logits(model: Model, image: np.ndarray) -> np.ndarray:
+    xnorm = normalize_images(model.pixel_norm, image[None])
+    return forward_batch(model, xnorm, keep_caches=False)[0][0]
 
 
 def forward(model: Model, image: np.ndarray) -> Prediction:
     """Classify one (H, W, 3) display-unit image."""
-    logits, _ = forward_batch(model, _input_batch(model, image), keep_caches=False)
-    logits = logits[0]
+    logits = _logits(model, check_input(model, image))
     conf = softmax(logits)
     order = np.argsort(-conf, kind="stable")  # ties break toward smaller index
     top = [(int(i), model.class_names[int(i)], float(conf[int(i)])) for i in order]
     return Prediction(logits=logits, confidences=conf, top_k=top)
+
+
+def confidence(model: Model, image: np.ndarray, target: int) -> float:
+    """Softmax confidence of class target at one (H, W, 3) display image;
+    unchecked, for callers that ran check_input and class_index."""
+    return float(softmax(_logits(model, image))[target])
+
+
+def gradient_step(model: Model, x: np.ndarray, target: int, objective: str):
+    """(confidence, input gradient) at a (3, H, W) display-unit image x;
+    unchecked, like confidence."""
+    logits, caches = forward_batch(model, _normalize(model.pixel_norm, x)[None])
+    conf = softmax(logits[0])
+    dlogits = np.zeros_like(logits)
+    if objective == "softmax_confidence":
+        # d conf_t / d logit_j = conf_t * (delta_tj - conf_j)
+        dlogits[0] = conf[target] * (-conf)
+        dlogits[0, target] += conf[target]
+    else:
+        dlogits[0, target] = 1.0
+    d, _ = backward_batch(caches, dlogits)
+    return float(conf[target]), d[0] * pixel_norm_slope(model.pixel_norm)
 
 
 def input_gradient(
@@ -435,12 +523,9 @@ def input_gradient(
     """d(objective)/d(input), shape (3, H, W), in display units.
 
     The objective is either the post-softmax confidence of the target class
-    or its raw logit. The backward pass is run with the model parameters
-    fixed and computes no weight gradients; only the input gradient is
-    returned.
+    or its raw logit; no weight gradient is computed.
     """
-    _, g = confidence_and_input_gradient(model, image, target_class, objective)
-    return g
+    return confidence_and_input_gradient(model, image, target_class, objective)[1]
 
 
 def confidence_and_input_gradient(
@@ -449,28 +534,9 @@ def confidence_and_input_gradient(
     target_class: int,
     objective: str = "softmax_confidence",
 ):
-    """One shared forward pass returning (confidence, input gradient).
-
-    Optimization loops need both values at the current image; computing
-    them together halves the cost over calling forward and input_gradient
-    separately.
-    """
+    """(confidence, input gradient) from one shared forward pass."""
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
-    x = _input_batch(model, image)
+    image = check_input(model, image)
     target = model.class_index(target_class)
-    logits, caches = forward_batch(model, x)
-    conf = softmax(logits[0])
-    q = float(conf[target])
-    dlogits = np.zeros_like(logits)
-    if objective == "softmax_confidence":
-        # d conf_t / d logit_j = conf_t * (delta_tj - conf_j)
-        dlogits[0] = conf[target] * (-conf)
-        dlogits[0, target] += conf[target]
-    else:
-        dlogits[0, target] = 1.0
-    d = dlogits
-    for layer, cache in zip(reversed(model.layers), reversed(caches)):
-        d, _ = layer.backward(d, cache, param_grads=False)
-    g = d[0] * pixel_norm_slope(model.pixel_norm)
-    return q, g
+    return gradient_step(model, np.ascontiguousarray(image.transpose(2, 0, 1)), target, objective)

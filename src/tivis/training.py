@@ -15,17 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError, ShapeMismatchError, TrainingDivergedError
-from .nn import (
-    Conv2d,
-    Dense,
-    Flatten,
-    MaxPool2x2,
-    Model,
-    Relu,
-    forward_batch,
-    normalize_images,
-    softmax,
-)
+from .nn import Conv2d, Dense, Flatten, MaxPool2x2, Model, Relu
+from .nn import backward_batch, forward_batch, normalize_images, softmax
 from .rng import Xoshiro256, derive_seed
 from .shapes import CLASS_NAMES, ShapeDataset
 
@@ -79,35 +70,16 @@ def reference_architecture(seed: int = REFERENCE_SEED, image_size: int = 64) -> 
     classifier head starts at zero so the untrained model outputs equal
     logits (initial cross-entropy is exactly ln 6 on a balanced set).
     """
-    conv1 = Conv2d(
-        weight=_uniform_init(seed, 0, (12, 3, 3, 3)),
-        bias=np.zeros(12),
-        stride=1,
-        padding=1,
-    )
-    conv2 = Conv2d(
-        weight=_uniform_init(seed, 1, (24, 12, 3, 3)),
-        bias=np.zeros(24),
-        stride=1,
-        padding=1,
-    )
+    conv1 = Conv2d(weight=_uniform_init(seed, 0, (12, 3, 3, 3)), bias=np.zeros(12), padding=1)
+    conv2 = Conv2d(weight=_uniform_init(seed, 1, (24, 12, 3, 3)), bias=np.zeros(24), padding=1)
     grid = image_size // 8  # three 2x2 pools
     head = Dense(
         weight=np.zeros((len(CLASS_NAMES), grid * grid * 24)),
         bias=np.zeros(len(CLASS_NAMES)),
     )
+    stages = [conv1, Relu(), MaxPool2x2(), conv2, Relu(), MaxPool2x2(), MaxPool2x2()]
     return Model(
-        layers=[
-            conv1,
-            Relu(),
-            MaxPool2x2(),
-            conv2,
-            Relu(),
-            MaxPool2x2(),
-            MaxPool2x2(),
-            Flatten(),
-            head,
-        ],
+        layers=stages + [Flatten(), head],
         input_shape=(3, image_size, image_size),
         class_names=CLASS_NAMES,
         pixel_norm="unit_01",
@@ -162,12 +134,9 @@ def train(dataset: ShapeDataset, model: Model, config: TrainConfig) -> TrainResu
                 logits, caches = forward_batch(model, xb)
                 loss, d = _cross_entropy_and_dlogits(logits, yb)
                 total_loss += loss * len(batch)
-                for layer, cache in zip(reversed(model.layers), reversed(caches)):
-                    d, grads = layer.backward(d, cache)
-                    if grads is not None:
-                        dw, db = grads
-                        layer.weight -= config.learning_rate * dw
-                        layer.bias -= config.learning_rate * db
+                for layer, (dw, db) in backward_batch(caches, d, param_grads=True)[1]:
+                    layer.weight -= config.learning_rate * dw
+                    layer.bias -= config.learning_rate * db
         except NonFiniteError as exc:  # blown-up weights surface mid-epoch
             raise TrainingDivergedError(epoch) from exc
         epoch_loss = total_loss / len(perm)

@@ -268,11 +268,8 @@ def run_battery(model, image: np.ndarray, target_class, battery) -> list:
     Entries are independent, so the output order always follows the battery
     order no matter how the evaluations are executed.
     """
-    image = _require_square(image)
+    image = nn.check_input(model, _require_square(image))
     target = model.class_index(target_class)
-    results = []
-    for spec in battery:
-        transformed = apply_transform(image, spec)
-        pred = nn.forward(model, transformed)
-        results.append((spec, float(pred.confidences[target])))
-    return results
+    # transforms keep a finite square image's shape and finiteness, so the
+    # one check above covers every entry
+    return [(spec, nn.confidence(model, apply_transform(image, spec), target)) for spec in battery]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteGradientError
-from .nn import OBJECTIVES, Model, confidence_and_input_gradient
+from .nn import OBJECTIVES, Model, check_input, gradient_step
 from .transforms import TransformSchedule, TransformSpec, apply_transform, clamp, run_battery
 
 GRADIENT_MODES = ("raw", "l2_normalized")
@@ -104,18 +104,18 @@ def optimize_to_confidence(model, image, target_class, config: OptimConfig):
 
 
 def _optimize(model, image, target_class, config: OptimConfig):
-    img = np.asarray(image, dtype=np.float64).copy()
+    # one check per pass; the steps hold the image in the gradient's (3, H, W)
+    # layout, and each step operation is elementwise, so the bits are as in (H, W, 3)
+    x = np.ascontiguousarray(check_input(model, image).transpose(2, 0, 1))
+    target = model.class_index(target_class)
     steps = 0
     while True:
-        q, g = confidence_and_input_gradient(
-            model, img, target_class, objective=config.objective
-        )
+        q, g = gradient_step(model, x, target, config.objective)
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError(steps)
         if q > config.q_target or steps >= config.max_inner_steps:
-            return img, steps, q
-        direction = _direction(g, config.gradient_mode)
-        img = clamp(img + config.step_size * direction.transpose(1, 2, 0))
+            return np.ascontiguousarray(x.transpose(1, 2, 0)), steps, q
+        x = clamp(x + config.step_size * _direction(g, config.gradient_mode))
         steps += 1
 
 

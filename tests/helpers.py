@@ -73,6 +73,26 @@ def conv2d_backward_direct(x, weight, stride, padding, dy):
     return dxp[:, :, padding : padding + h, padding : padding + w], dw, db
 
 
+def conv2d_input_grad_by_windows(weight, stride, padding, xshape, dy):
+    """Conv input gradient with each tap's columns added into its 2-D window.
+
+    The columns come from one matmul over the Ho*Wo outputs, and the taps
+    are added into a zeroed padded input in (ki, kj) order: the summation
+    order whose bits Conv2d.backward must keep.
+    """
+    n, c, h, w = xshape
+    oc, ic, kh, kw = weight.shape
+    ho, wo = dy.shape[2], dy.shape[3]
+    dcols = np.matmul(weight.reshape(oc, -1).T, dy.reshape(n, oc, ho * wo))
+    dcols = dcols.reshape(n, ic, kh, kw, ho, wo)
+    s, p = stride, padding
+    dxp = np.zeros((n, c, h + 2 * p, w + 2 * p))
+    for ki in range(kh):
+        for kj in range(kw):
+            dxp[:, :, ki : ki + s * ho : s, kj : kj + s * wo : s] += dcols[:, :, ki, kj]
+    return dxp[:, :, p : p + h, p : p + w]
+
+
 def dense_backward_direct(x, weight, dy):
     """Naive dense backward of an (N, D) batch by scalar loops: (dx, dw, db)."""
     n, in_dim = x.shape

@@ -10,6 +10,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 from helpers import (
     cooccurrence_direct,
@@ -137,6 +138,7 @@ def test_criterion_4_transform_exactness():
                 assert out.min() >= 0.0 and out.max() <= hi
 
 
+@pytest.mark.slow
 def test_criterion_5_desk_scale_central_claim(reference_run, reference_dataset):
     with criterion(5, "transformation-invariant visualization beats baseline"):
         result, config, train_seconds = reference_run
@@ -153,11 +155,28 @@ def test_criterion_5_desk_scale_central_claim(reference_run, reference_dataset):
         schedule = default_schedule()  # rot:10x36 steps, 36-rotation battery
         target = CLASS_NAMES.index("hex_outline")
 
-        # main seeded run from the black init with default optimization
         stop = StoppingCriterion(q_test=0.8, max_outer_iterations=108)
-        image, trace = visualize(
-            model, target, constant_image(64, 64, 0.0), schedule, OptimConfig(), stop
-        )
+        pair_config = OptimConfig(step_size=2.0)
+
+        def battery_min(img):
+            return min(c for _, c in run_battery(model, img, target, schedule.battery))
+
+        def run(r):
+            if r is None:  # main seeded run from the black init with default optimization
+                init = constant_image(64, 64, 0.0)
+                return visualize(model, target, init, schedule, OptimConfig(), stop)
+            # paired seeded run: invariant method vs single-pass baseline
+            init = clamp(
+                constant_image(64, 64, 4.0 * r)
+                + uniform_field(1000 + r, (64, 64, 3), 0.0, 10.0)
+            )
+            invariant_img, _ = visualize(model, target, init, schedule, pair_config, stop)
+            baseline_img = baseline_visualize(model, target, init, pair_config)
+            return battery_min(invariant_img), battery_min(baseline_img)
+
+        # the main run and the ten pairs are independent runs, spread over
+        # forked workers
+        (image, trace), *pairs = fork_map(run, [None, *range(10)])
         assert trace.status == "converged"
         assert trace.records[-1].battery_min >= 0.8
         # golden bits of this run, recorded with numpy 2.4.6 and OpenBLAS
@@ -170,29 +189,14 @@ def test_criterion_5_desk_scale_central_claim(reference_run, reference_dataset):
             58, 88, 84, 98, 173, 222, 150, 135, 138, 152, 176, 166, 84, 124, 225, 210,
         ]
 
-        # ten paired seeded runs: invariant method vs single-pass baseline
-        pair_config = OptimConfig(step_size=2.0)
-
-        def battery_min(img):
-            return min(c for _, c in run_battery(model, img, target, schedule.battery))
-
-        def pair_minima(r):
-            init = clamp(
-                constant_image(64, 64, 4.0 * r)
-                + uniform_field(1000 + r, (64, 64, 3), 0.0, 10.0)
-            )
-            invariant_img, _ = visualize(model, target, init, schedule, pair_config, stop)
-            baseline_img = baseline_visualize(model, target, init, pair_config)
-            return battery_min(invariant_img), battery_min(baseline_img)
-
-        # the pairs are independent runs, spread over forked workers
-        wins = sum(inv > base for inv, base in fork_map(pair_minima, range(10)))
+        wins = sum(inv > base for inv, base in pairs)
         assert wins >= 8, f"invariant beat baseline in only {wins}/10 runs"
 
         total = train_seconds + (time.time() - t0)
         assert total < 1800.0, f"criterion took {total:.0f}s"
 
 
+@pytest.mark.slow
 def test_criterion_6_sweep_determinism_and_argmax(reference_run):
     with criterion(6, "init-sweep determinism over the 27 gray levels"):
         model = reference_run[0].model

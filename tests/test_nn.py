@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from helpers import (
     conv2d_backward_direct,
+    conv2d_input_grad_by_windows,
     dense_backward_direct,
     fd_input_gradient,
     forward_direct,
@@ -16,7 +18,11 @@ from helpers import (
 )
 
 from tivis import nn
+from tivis.entropy import image_id
 from tivis.errors import InvalidClassError, NonFiniteError, ShapeChainError, ShapeMismatchError
+from tivis.training import reference_architecture
+from tivis.transforms import TransformSchedule, constant_image, parse_transform_list, run_battery
+from tivis.visualizer import OptimConfig, StoppingCriterion, optimize_to_confidence, visualize
 
 
 def _zero_head_model(n=6, k=4):
@@ -164,6 +170,55 @@ class TestMaxPool:
         assert dx.tolist() == [[[[0.0, 5.0], [0.0, 0.0]]]]
 
 
+    def test_fused_relu_pool_equals_relu_then_pool(self):
+        relu, pool = nn.Relu(), nn.MaxPool2x2()
+        for x, dy in _pool_cases():
+            r, mask = relu.forward(x)
+            want_y, cache = pool.forward(r)
+            want_dx, _ = relu.backward(pool.backward(dy, cache)[0], mask)
+            y, fused = pool.forward_relu(x)
+            dx, grads = pool.backward_relu(dy, fused)
+            assert grads is None
+            _assert_same_bytes(y, want_y)
+            _assert_same_bytes(fused[1], cache[1])
+            _assert_same_bytes(dx, want_dx)
+
+
+class TestNonFiniteChecks:
+    """Only conv2d, dense and avgpool_global outputs are checked finite."""
+
+    def _overflowing_conv_model(self):
+        # every pre-activation of a white image sums at least 12 products of
+        # -1e308 and 1.0: -inf, which the ReLU maps to 0
+        conv = nn.Conv2d(weight=np.full((2, 3, 3, 3), -1e308), bias=np.zeros(2), padding=1)
+        dense = nn.Dense(weight=np.ones((3, 32)), bias=np.zeros(3))
+        return nn.Model(
+            layers=[conv, nn.Relu(), nn.MaxPool2x2(), nn.Flatten(), dense],
+            input_shape=(3, 8, 8),
+            class_names=("a", "b", "c"),
+        ).validate()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_minus_inf_pre_activation_is_caught_at_the_conv(self):
+        model = self._overflowing_conv_model()
+        image = np.full((8, 8, 3), 255.0)
+        x = nn.normalize_images(model.pixel_norm, image[None])
+        for i, layer in enumerate(model.layers):
+            x, _ = layer.forward(x)
+            assert np.all(x == -np.inf) if i == 0 else np.all(np.isfinite(x))
+        schedule = TransformSchedule(steps=parse_transform_list("rot:10"),
+                                     battery=parse_transform_list("rot:0,flip:h"))
+        calls = [
+            lambda: nn.forward(model, image),
+            lambda: nn.confidence_and_input_gradient(model, image, 0),
+            lambda: run_battery(model, image, 0, schedule.battery),
+            lambda: visualize(model, 0, image, schedule, OptimConfig(), StoppingCriterion()),
+        ]
+        for call in calls:
+            with pytest.raises(NonFiniteError, match=r"^layer 0 \(conv2d\) produced non-finite values$"):
+                call()
+
+
 class TestBackward:
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("padding", [0, 1])
@@ -190,6 +245,25 @@ class TestBackward:
                 assert np.max(np.abs(got - want)) <= 1e-10, f"case {case}"
 
     @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_conv_input_grad_has_the_window_loop_bits(self, stride, padding, n):
+        rng = np.random.default_rng(1000 + 100 * stride + 10 * padding + n)
+        for case in range(4):
+            ic, oc = int(rng.integers(1, 13)), int(rng.integers(1, 25))
+            kh, kw = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            h, w = int(rng.integers(kh + stride, 20)), int(rng.integers(kw + stride, 20))
+            conv = nn.Conv2d(weight=rng.normal(size=(oc, ic, kh, kw)), bias=np.zeros(oc),
+                             stride=stride, padding=padding)
+            x = rng.normal(size=(n, ic, h, w))
+            y, cache = conv.forward(x)
+            # zeros and negative zeros as a ReLU mask and a pool leave them
+            dy = rng.normal(size=y.shape) * rng.choice([0.0, -0.0, 1.0], size=y.shape)
+            dx, _ = conv.backward(dy, cache, param_grads=False)
+            want = conv2d_input_grad_by_windows(conv.weight, stride, padding, x.shape, dy)
+            _assert_same_bytes(dx, want)
+
+    @pytest.mark.parametrize("n", [1, 3])
     def test_dense_matches_scalar_oracle(self, n):
         rng = np.random.default_rng(40 + n)
         dense = nn.Dense(weight=rng.normal(size=(4, 7)), bias=rng.normal(size=4))
@@ -209,12 +283,31 @@ class TestBackward:
             x = nn.normalize_images(model.pixel_norm, np.stack([img, img[::-1], img[:, ::-1]]))
             logits, caches = nn.forward_batch(model, x)
             d_full = d_only = rng.normal(size=logits.shape)
-            for layer, cache in zip(reversed(model.layers), reversed(caches)):
-                d_full, grads = layer.backward(d_full, cache)
-                d_only, no_grads = layer.backward(d_only, cache, param_grads=False)
+            for layer, backward, cache in reversed(caches):
+                d_full, grads = backward(d_full, cache)
+                d_only, no_grads = backward(d_only, cache, param_grads=False)
                 assert no_grads is None
                 assert (grads is None) == (layer.kind not in ("conv2d", "dense"))
                 _assert_same_bytes(d_only, d_full)
+
+    def test_driver_weight_grads_match_each_step_and_skip_input_gradient(self):
+        rng = np.random.default_rng(13)
+        for seed in range(6):
+            model, img = random_small_model(300 + seed)
+            x = nn.normalize_images(model.pixel_norm, np.stack([img, img[::-1]]))
+            logits, caches = nn.forward_batch(model, x)
+            d = rng.normal(size=logits.shape)
+            dx, grads = nn.backward_batch(caches, d, param_grads=True)
+            assert dx is None
+            want = []
+            for layer, backward, cache in reversed(caches):
+                d, step_grads = backward(d, cache)
+                if step_grads is not None:
+                    want.append((layer, step_grads))
+            assert [layer for layer, _ in grads] == [layer for layer, _ in want]
+            for (_, (dw, db)), (_, (want_dw, want_db)) in zip(grads, want):
+                _assert_same_bytes(dw, want_dw)
+                _assert_same_bytes(db, want_db)
 
 
 class TestSoftmax:
@@ -366,3 +459,59 @@ class TestMallocThresholds:
     def test_user_malloc_settings_are_left_alone(self, var, value):
         code = "from tivis import nn; print(nn._MALLOC_THRESHOLDS_PINNED)"
         assert _run_fresh(code, **{var: value}) == ["False"]
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _step_bytes(model, images, target):
+    """q, g and the forward logits of every image, in order."""
+    out = []
+    for image in images:
+        q, g = nn.confidence_and_input_gradient(model, image, target)
+        out += [np.float64(q), g, nn.forward(model, image).logits]
+    return out
+
+
+def _reference_with_random_head():
+    model = reference_architecture(7)
+    rng = np.random.default_rng(71)
+    head = model.layers[-1]
+    head.weight = rng.normal(0.0, 0.05, head.weight.shape)
+    head.bias = rng.normal(0.0, 0.1, head.bias.shape)
+    return model, rng
+
+
+class TestBitCanary:
+    """sha256 digests of gradient-step bytes recorded before the drivers
+    fused each ReLU into its pool; a changed digest means a layer no longer
+    computes the same bits."""
+
+    def test_reference_architecture_step(self):
+        model, rng = _reference_with_random_head()
+        images = [np.floor(rng.uniform(0, 256, (64, 64, 3))) for _ in range(2)]
+        images.append(constant_image(64, 64, 0.0))  # every pool window tied
+        assert _digest(_step_bytes(model, images, 5)) == "820219b89769ef9b"
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        # variant: conv-relu-pool with an odd side, a ReLU with no pool and
+        # padding 0, stride 2 into a global average
+        [(3, "b15a2f2c1b284b7c"), (0, "cab4bc48cde08809"), (1, "5a3f17caff875b3c"), (5, "c71b6623389c9874")],
+    )
+    def test_random_small_model_steps(self, seed, digest):
+        model, image = random_small_model(seed)
+        rng = np.random.default_rng(seed)
+        images = [image] + [np.floor(rng.uniform(0, 256, image.shape)) for _ in range(3)]
+        assert _digest(_step_bytes(model, images, seed % model.num_classes)) == digest
+
+    def test_forty_step_optimization_image_id(self):
+        model, _ = _reference_with_random_head()
+        config = OptimConfig(q_target=0.999999, max_inner_steps=40)
+        image, steps = optimize_to_confidence(model, constant_image(64, 64, 0.0), 2, config)
+        assert steps == 40
+        assert image_id(image) == "3a3ed164e42500a1"

@@ -113,6 +113,7 @@ class TestClassifyReport:
         with pytest.raises(ValueError, match="variant"):
             classify_report(model, [], variants=("upside_down",))
 
+    @pytest.mark.slow
     def test_reference_model_recognizes_fresh_disk(self, reference_model):
         disk_class = CLASS_NAMES.index("disk")
         img = render_shape(shape_params(12345, disk_class, 0))

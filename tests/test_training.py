@@ -115,6 +115,7 @@ def test_memorizing_model_perfect_on_train_set():
     assert evaluate(result.model, training_split(ds, cfg)) == 1.0
 
 
+@pytest.mark.slow
 class TestReferenceRun:
     def test_validation_accuracy_target(self, reference_run):
         result, config, seconds = reference_run

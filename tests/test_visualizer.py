@@ -84,15 +84,15 @@ class TestOptimize:
     def test_non_finite_gradient_aborts_with_step_index(self, monkeypatch):
         model = _linear_model()
         calls = {"n": 0}
-        real = nn.confidence_and_input_gradient
+        real = nn.gradient_step
 
-        def explode(model_, image, target, objective="softmax_confidence"):
+        def explode(model_, x, target, objective):
             calls["n"] += 1
             if calls["n"] >= 3:
                 return 0.5, np.full((3, 8, 8), np.inf)
-            return real(model_, image, target, objective=objective)
+            return real(model_, x, target, objective)
 
-        monkeypatch.setattr(viz, "confidence_and_input_gradient", explode)
+        monkeypatch.setattr(viz, "gradient_step", explode)
         with pytest.raises(NonFiniteGradientError) as err:
             optimize_to_confidence(model, constant_image(8, 8, 10.0), 0, OptimConfig())
         assert err.value.step_index == 2
