@@ -42,7 +42,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow is reported once, as the NonFiniteError it leads to,
+        # not also as numpy's warning; no result depends on the error state
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (TivisError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

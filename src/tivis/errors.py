@@ -29,6 +29,10 @@ class NonFiniteGradientError(NonFiniteError):
         self.step_index = step_index
         super().__init__(f"gradient contains non-finite values at optimization step {step_index}")
 
+    def __reduce__(self):
+        # args holds the message, not the step: rebuild from the step
+        return type(self), (self.step_index,), self.__dict__
+
 
 class ModelFormatError(TivisError):
     """Base class for model-file decoding failures."""
@@ -52,6 +56,9 @@ class TrainingDivergedError(TivisError):
     def __init__(self, epoch: int):
         self.epoch = epoch
         super().__init__(f"training loss became non-finite at epoch {epoch}")
+
+    def __reduce__(self):
+        return type(self), (self.epoch,), self.__dict__
 
 
 class PpmError(TivisError):

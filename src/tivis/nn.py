@@ -189,21 +189,26 @@ class Conv2d:
         oc, ic, kh, kw = self.weight.shape
         s, p = self.stride, self.padding
         ho, wo = dy.shape[2], dy.shape[3]
-        hp, wp = h + 2 * p, w + 2 * p
+        rows, wp = ho + kh, w + 2 * p
         # col2im on flat rows of the padded width wp: with dy padded by zero
-        # columns to wp, output (i, j) of tap (ki, kj) lands at flat
-        # s * (i * wp + j) + ki * wp + kj, so each tap adds one strided flat
-        # slice, in (ki, kj) order; the padding adds zeros to sums that start
-        # at +0.0, which leaves every bit as the 2-D window loop had it
-        dyp = np.zeros((n, oc, ho, wp))
-        dyp[:, :, :, :wo] = dy
-        dcols = np.matmul(self.weight.reshape(oc, -1).T, dyp.reshape(n, oc, ho * wp))
-        dcols = dcols.reshape(n, ic, kh * kw, ho * wp)
-        dxf = np.zeros((n, ic, (s * ho + kh) * wp))
+        # columns to wp and zero rows to ho + kh, output (i, j) of tap (ki, kj)
+        # lands at flat s * (i * wp + j) + ki * wp + kj of its channel's block
+        # of s * rows * wp. The dcols rows run (tap, channel), so each tap adds
+        # one flat slice across all channels of a sample, in (ki, kj) order;
+        # what spills into the next channel's block comes from the padding and
+        # is +-0.0, and a sum that starts at +0.0 never becomes -0.0, so every
+        # bit is as the 2-D window loop had it
+        dyp = np.zeros((n, oc, rows, wp))
+        dyp[:, :, :ho, :wo] = dy
+        wt = self.weight.transpose(2, 3, 1, 0).reshape(kh * kw * ic, oc)  # rows (tap, channel)
+        block = ic * rows * wp
+        dcols = np.matmul(wt, dyp.reshape(n, oc, rows * wp)).reshape(n, kh * kw, block)
+        del dyp  # freed before dxf is allocated, which lowers a training step's peak memory
+        dxf = np.zeros((n, s * block))
         for k in range(kh * kw):
             at = k // kw * wp + k % kw
-            dxf[:, :, at : at + s * ho * wp : s] += dcols[:, :, k]
-        dx = dxf[:, :, : hp * wp].reshape(n, ic, hp, wp)[:, :, p : p + h, p : p + w]
+            dxf[:, at::s] += dcols[:, k, : (s * block - at + s - 1) // s]
+        dx = dxf.reshape(n, ic, s * rows, wp)[:, :, p : p + h, p : p + w]
         return dx, (self.weight_grads(dy, cache) if param_grads else None)
 
     def weight_grads(self, dy, cache):

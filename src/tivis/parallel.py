@@ -8,6 +8,11 @@ to one thread, which would otherwise run a thread per CPU in every worker.
 Workers inherit ``fn``, so only the items and the results are pickled, and
 all have exited when the call returns, also when ``fn`` raises. Where
 workers cannot help, the map runs in-process.
+
+``Helper(fn)`` computes ``fn(x)`` for one item at a time in a single forked
+process beside the caller, which goes on with its own work meanwhile. It
+forks where ``fork_map`` would run two workers, with the same BLAS pin;
+elsewhere ``fn(x)`` runs in-process when the caller first asks for it.
 """
 
 from __future__ import annotations
@@ -109,3 +114,91 @@ def fork_map(fn, items) -> list:
         pool.close()
         pool.join()
     return results
+
+
+def _serve(fn, conn, callers_end, pin) -> None:
+    """A helper process: answer each item with (True, fn(item)) or (False, exception)."""
+    callers_end.close()  # the fork copied it; open here, it would hide the caller's close
+    if pin is not None:
+        pin(1)
+    while True:
+        try:
+            item = conn.recv()
+        except EOFError:  # the caller closed its end
+            return
+        try:
+            outcome = (True, fn(item))
+        except Exception as exc:  # sent to the caller, which raises it
+            outcome = (False, exc)
+        conn.send(outcome)
+
+
+class Helper:
+    """fn(x) for one item at a time, in a forked process beside the caller.
+
+    submit(x) starts fn(x); ready() tells whether it has finished, and in
+    the in-process case computes it; result() returns fn(x), waiting for it,
+    or raises what fn raised. Use it as a context manager: the process has
+    exited when the block ends.
+    """
+
+    def __init__(self, fn):
+        self._fn = fn
+        self._conn = self._process = None
+        self._item = self._outcome = None
+        self._pending = False  # an item was submitted and its outcome not yet taken in
+
+    def __enter__(self):
+        threads, pin = _blas_plan()
+        if _worker_count(2, threads) > 1:
+            ctx = multiprocessing.get_context("fork")
+            self._conn, child = ctx.Pipe()
+            # fork does not pickle the target's arguments: the process inherits fn
+            self._process = ctx.Process(
+                target=_serve, args=(self._fn, child, self._conn, pin), daemon=True
+            )
+            self._process.start()
+            child.close()
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._process is not None:
+            if self._pending:  # its result is not wanted
+                self._process.terminate()
+            self._conn.close()
+            self._process.join()
+
+    def submit(self, item) -> None:
+        """Start fn(item); the previous item's result must have been taken in."""
+        self._pending, self._outcome = True, None
+        if self._conn is None:
+            self._item = item
+        else:
+            self._conn.send(item)
+
+    def ready(self) -> bool:
+        if self._pending and (self._conn is None or self._conn.poll()):
+            self._take()
+        return not self._pending
+
+    def result(self):
+        if self._pending:
+            self._take()
+        ok, value = self._outcome
+        if not ok:
+            raise value
+        return value
+
+    def _take(self) -> None:
+        if self._conn is not None:
+            try:
+                self._outcome = self._conn.recv()
+            except EOFError:
+                raise RuntimeError("the helper process exited without a result") from None
+        else:
+            item, self._item = self._item, None
+            try:
+                self._outcome = (True, self._fn(item))
+            except Exception as exc:  # kept, as the forked case keeps it, for result()
+                self._outcome = (False, exc)
+        self._pending = False

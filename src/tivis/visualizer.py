@@ -15,6 +15,14 @@ re-running the battery on it reproduces the recorded confidences.
 
 Each inner pass restarts plain gradient ascent from the transformed image;
 no state carries over between passes.
+
+A battery only decides whether to stop: the next pass starts from the
+transformed image whatever the battery finds. So each battery goes to a
+``parallel.Helper`` and the next pass starts at once; before each gradient
+step the pass asks whether the battery has come back, and it is dropped if
+the battery passed. A helper that runs in-process computes the battery at
+that first question, before the pass takes a step. Either way the records,
+the status and the image are the bits of the loop run in sequence.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ import numpy as np
 
 from .errors import NonFiniteGradientError
 from .nn import OBJECTIVES, Model, check_input, gradient_step
+from .parallel import Helper
 from .transforms import TransformSchedule, TransformSpec, apply_transform, clamp, run_battery
 
 GRADIENT_MODES = ("raw", "l2_normalized")
@@ -103,13 +112,17 @@ def optimize_to_confidence(model, image, target_class, config: OptimConfig):
     return img, steps
 
 
-def _optimize(model, image, target_class, config: OptimConfig):
+def _optimize(model, image, target_class, config: OptimConfig, abandon=None):
+    """(image, steps, q) of one pass; None once abandon(), asked before each
+    gradient evaluation, returns True."""
     # one check per pass; the steps hold the image in the gradient's (3, H, W)
     # layout, and each step operation is elementwise, so the bits are as in (H, W, 3)
     x = np.ascontiguousarray(check_input(model, image).transpose(2, 0, 1))
     target = model.class_index(target_class)
     steps = 0
     while True:
+        if abandon is not None and abandon():
+            return None
         q, g = gradient_step(model, x, target, config.objective)
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError(steps)
@@ -146,30 +159,43 @@ def visualize(
             f"q_test ({stop.q_test}) must not exceed q_target ({config.q_target})"
         )
     target = model.class_index(target_class)
-    current = clamp(np.asarray(init, dtype=np.float64))
+    last = stop.max_outer_iterations - 1
+
+    def battery(image):
+        confs = np.array([c for _, c in run_battery(model, image, target, schedule.battery)])
+        return float(confs.min()), float(confs.mean())
+
     records = []
-    optimized = current
-    last_inner = 0
-    last_q = 0.0
-    for index in range(stop.max_outer_iterations):
-        optimized, last_inner, last_q = _optimize(model, current, target, config)
-        results = run_battery(model, optimized, target, schedule.battery)
-        confs = np.array([c for _, c in results])
-        bmin = float(confs.min())
-        bmean = float(confs.mean())
-        converged = bmin >= stop.q_test
-        spec = None
-        if not converged and index < stop.max_outer_iterations - 1:
-            spec = schedule.steps[index % len(schedule.steps)]
-        records.append(IterationRecord(index, spec, last_inner, last_q, bmin, bmean))
-        if converged:
-            return optimized, RunTrace(records=records, status=STATUS_CONVERGED)
-        if spec is not None:
-            current = apply_transform(optimized, spec)
+    with Helper(battery) as helper:
+
+        def battery_passed():
+            return helper.result()[0] >= stop.q_test
+
+        optimized, inner, q = _optimize(model, clamp(np.asarray(init, dtype=np.float64)), target, config)
+        for index in range(stop.max_outer_iterations):
+            helper.submit(optimized)
+            spec = following = None
+            if index < last:
+                spec = schedule.steps[index % len(schedule.steps)]
+                try:
+                    following = _optimize(
+                        model, apply_transform(optimized, spec), target, config,
+                        abandon=lambda: helper.ready() and battery_passed(),
+                    )
+                except Exception:  # a pass the sequential loop would not have run
+                    if not battery_passed():
+                        raise
+            bmin, bmean = helper.result()
+            if bmin >= stop.q_test:
+                records.append(IterationRecord(index, None, inner, q, bmin, bmean))
+                return optimized, RunTrace(records=records, status=STATUS_CONVERGED)
+            records.append(IterationRecord(index, spec, inner, q, bmin, bmean))
+            if following is not None:
+                optimized, inner, q = following
     # Not converged: report whether the inner loop or the outer budget bound us.
     status = (
         STATUS_INNER_CAP
-        if last_inner >= config.max_inner_steps and last_q <= config.q_target
+        if inner >= config.max_inner_steps and q <= config.q_target
         else STATUS_ITERATION_CAP
     )
     return optimized, RunTrace(records=records, status=status)

@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from helpers import write_model_file
 
 from tivis.cli import main
 from tivis.model_io import load_model, save_model
+from tivis import nn
 from tivis.nn import MAX_SIDE, Dense, Flatten, Model
 from tivis.ppm import read_ppm, write_ppm
 from tivis.shapes import load_dataset
@@ -321,3 +326,34 @@ def test_oversized_model_rejected_before_any_array(tmp_path, capsys, case, comma
     assert err.startswith(f"error: ShapeChainError: {message}")
     assert err.endswith(f"exceeds the side limit {MAX_SIDE}\n")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["classify", "visualize"])
+def test_overflow_is_one_error_line(tmp_path, command):
+    # conv pre-activations of -27e308 overflow to -inf inside the matmul;
+    # the run goes in a new interpreter, so numpy's warnings reach its stderr
+    n = 8
+    model = Model(
+        layers=[
+            nn.Conv2d(weight=np.full((2, 3, 3, 3), -1e308), bias=np.zeros(2)),
+            nn.GlobalAvgPool(),
+            Dense(weight=np.ones((2, 2)), bias=np.zeros(2)),
+        ],
+        input_shape=(3, n, n),
+        class_names=("a", "b"),
+    )
+    save_model(model, tmp_path / "m.gbxm")
+    write_ppm(np.full((n, n, 3), 255.0), tmp_path / "white.ppm")
+    args = {
+        "classify": [str(tmp_path / "white.ppm")],
+        "visualize": ["--class", "a", "--init", "255", "--out", str(tmp_path / "v.ppm")],
+    }[command]
+    env = dict(os.environ)
+    src = str(Path(nn.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tivis.cli", command, "--model", str(tmp_path / "m.gbxm"), *args],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: NonFiniteError: layer 0 (conv2d) produced non-finite values\n"

@@ -244,7 +244,7 @@ class TestBackward:
                 assert got.shape == want.shape, f"case {case}"
                 assert np.max(np.abs(got - want)) <= 1e-10, f"case {case}"
 
-    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("n", [1, 3, 8])
     @pytest.mark.parametrize("padding", [0, 1, 2])
     @pytest.mark.parametrize("stride", [1, 2, 3])
     def test_conv_input_grad_has_the_window_loop_bits(self, stride, padding, n):

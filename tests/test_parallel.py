@@ -1,11 +1,13 @@
 import multiprocessing
 import os
+import time
 
 import pytest
 
 from helpers import clear_blas_thread_vars, openblas_thread_functions
 
 from tivis import parallel as P
+from tivis.errors import NonFiniteGradientError
 
 
 @pytest.fixture
@@ -61,3 +63,109 @@ def test_workers_pin_openblas_to_one_thread(monkeypatch):
     finally:
         setter(before)
     assert threads == [1] * 4
+
+
+def test_worker_exception_keeps_its_message(two_workers):
+    def fn(x):
+        if x == 1:
+            raise NonFiniteGradientError(3)
+        return x
+
+    with pytest.raises(NonFiniteGradientError) as err:
+        P.fork_map(fn, range(3))
+    assert str(err.value) == str(NonFiniteGradientError(3))
+    assert err.value.step_index == 3
+
+
+class TestHelper:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_results_in_submission_order(self, monkeypatch, two_workers, cpus):
+        monkeypatch.setattr(P, "_usable_cpus", lambda: cpus)
+        offset = 7  # a closure, which pickle cannot send
+        got = []
+        with P.Helper(lambda x: (x + offset, os.getpid())) as helper:
+            for x in range(4):
+                helper.submit(x)
+                got.append(helper.result())
+                assert helper.ready()  # a taken result stays ready
+        assert [r for r, _ in got] == [x + offset for x in range(4)]
+        pids = {pid for _, pid in got}
+        assert (pids == {os.getpid()}) == (cpus == 1)
+        assert multiprocessing.active_children() == []
+
+    def test_in_process_computes_at_the_first_ready(self, monkeypatch, two_workers):
+        monkeypatch.setattr(P, "_usable_cpus", lambda: 1)
+        calls = []
+        with P.Helper(calls.append) as helper:
+            helper.submit(5)
+            assert calls == []
+            assert helper.ready()
+            assert calls == [5]
+            assert helper.result() is None
+        assert calls == [5]
+
+    def test_forked_ready_waits_for_nothing(self, two_workers):
+        with P.Helper(lambda x: time.sleep(x) or x) as helper:
+            helper.submit(0.5)
+            t0 = time.perf_counter()
+            assert not helper.ready()
+            assert time.perf_counter() - t0 < 0.25
+            assert helper.result() == 0.5
+            assert helper.ready()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_exception_reaches_the_caller(self, monkeypatch, two_workers, cpus):
+        monkeypatch.setattr(P, "_usable_cpus", lambda: cpus)
+
+        def fn(x):
+            raise NonFiniteGradientError(x)
+
+        with P.Helper(fn) as helper:
+            helper.submit(4)
+            with pytest.raises(NonFiniteGradientError) as err:
+                helper.result()
+        assert str(err.value) == str(NonFiniteGradientError(4))
+        assert err.value.step_index == 4
+        assert multiprocessing.active_children() == []
+
+    def test_no_process_outlives_the_block(self, two_workers):
+        # an item still being computed when the block ends, and a block that raises
+        with P.Helper(time.sleep) as helper:
+            helper.submit(30.0)
+        assert multiprocessing.active_children() == []
+        with pytest.raises(KeyError):
+            with P.Helper(time.sleep) as helper:
+                helper.submit(30.0)
+                raise KeyError("caller failed")
+        assert multiprocessing.active_children() == []
+
+    def test_a_process_that_dies_is_an_error(self, two_workers):
+        with P.Helper(os._exit) as helper:
+            helper.submit(3)
+            with pytest.raises(RuntimeError, match="exited without a result"):
+                helper.result()
+        assert multiprocessing.active_children() == []
+
+    def test_daemonic_caller_runs_it_in_process(self, two_workers):
+        def run(_):
+            with P.Helper(lambda x: os.getpid()) as helper:
+                helper.submit(None)
+                return helper.result() == os.getpid()
+
+        assert P.fork_map(run, range(2)) == [True, True]
+
+    @pytest.mark.skipif(P._openblas_thread_setter() is None, reason="numpy without OpenBLAS")
+    def test_pins_openblas_to_one_thread(self, monkeypatch):
+        setter, get_threads = openblas_thread_functions()
+        monkeypatch.setattr(P, "_usable_cpus", lambda: 2)
+        clear_blas_thread_vars(monkeypatch)
+        before = get_threads()
+        setter(2)
+        try:
+            with P.Helper(lambda _: (get_threads(), os.getpid())) as helper:
+                helper.submit(None)
+                threads, pid = helper.result()
+            assert get_threads() == 2
+        finally:
+            setter(before)
+        assert threads == 1 and pid != os.getpid()

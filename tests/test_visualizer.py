@@ -1,9 +1,15 @@
+import multiprocessing
+import os
+import time
+
 import numpy as np
 import pytest
 
+from helpers import clear_blas_thread_vars, random_small_model
+
 import tivis.visualizer as viz
-from tivis import nn
-from tivis.errors import NonFiniteGradientError
+from tivis import nn, parallel
+from tivis.errors import NonFiniteError, NonFiniteGradientError
 from tivis.transforms import TransformSchedule, TransformSpec, constant_image, parse_transform_list
 from tivis.visualizer import (
     OptimConfig,
@@ -202,6 +208,154 @@ class TestVisualize:
         config = OptimConfig(q_target=0.999999, step_size=50.0, max_inner_steps=60)
         out, steps = optimize_to_confidence(model, constant_image(8, 8, 240.0), 0, config)
         assert out.min() >= 0.0 and out.max() <= 255.0
+
+
+_SPECULATION_SCHEDULE = TransformSchedule(
+    steps=parse_transform_list("rot:90,flip:h"),
+    battery=parse_transform_list("rot-sweep:90,flip:v"),
+)
+_STEADY = OptimConfig(q_target=0.95, step_size=6.0, max_inner_steps=40)
+# status: (random_small_model seed, config, stop); target class 0
+_SPECULATION_CASES = {
+    "converged": (6, _STEADY, StoppingCriterion(q_test=0.6, max_outer_iterations=6)),
+    "iteration_cap": (0, _STEADY, StoppingCriterion(q_test=0.9, max_outer_iterations=6)),
+    "inner_cap": (
+        1,
+        OptimConfig(q_target=0.999, step_size=2.0, max_inner_steps=5),
+        StoppingCriterion(q_test=0.99, max_outer_iterations=4),
+    ),
+}
+
+
+@pytest.fixture
+def battery_pids(monkeypatch, tmp_path):
+    """Wraps the battery to log the pid of each run; returns a reader that
+    empties the log.
+
+    One BLAS thread is set, so the helper forks when two CPUs are usable.
+    """
+    clear_blas_thread_vars(monkeypatch)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    log = tmp_path / "battery_pids"
+    real = viz.run_battery
+
+    def logged(*args):
+        with open(log, "a") as f:  # the helper process writes here too
+            f.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    monkeypatch.setattr(viz, "run_battery", logged)
+
+    def read():
+        pids = {int(line) for line in log.read_text().split()}
+        log.unlink()
+        return pids
+
+    return read
+
+
+def _use_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
+
+
+class TestForkedBattery:
+    """visualize runs each battery in a forked helper while the next pass starts."""
+
+    @pytest.mark.parametrize("status", sorted(_SPECULATION_CASES))
+    def test_forked_battery_gives_the_in_process_bits(self, monkeypatch, battery_pids, status):
+        seed, config, stop = _SPECULATION_CASES[status]
+        model, image = random_small_model(seed)
+        runs = {}
+        for cpus in (1, 2):
+            _use_cpus(monkeypatch, cpus)
+            runs[cpus] = visualize(model, 0, image, _SPECULATION_SCHEDULE, config, stop)
+            assert multiprocessing.active_children() == []
+            pids = battery_pids()
+            assert (pids == {os.getpid()}) == (cpus == 1), "the battery ran in the wrong process"
+        (alone, alone_trace), (forked, forked_trace) = runs[1], runs[2]
+        assert alone_trace.status == forked_trace.status == status
+        assert alone.tobytes() == forked.tobytes()
+        assert [repr(r) for r in alone_trace.records] == [repr(r) for r in forked_trace.records]
+        if status == "converged":
+            assert len(forked_trace.records) > 1  # a speculative pass was dropped
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failing_pass_after_a_converged_battery_returns(self, monkeypatch, battery_pids, cpus):
+        seed, config, stop = _SPECULATION_CASES["converged"]
+        model, image = random_small_model(seed)
+        _use_cpus(monkeypatch, 1)
+        want_image, want = visualize(model, 0, image, _SPECULATION_SCHEDULE, config, stop)
+        sequential_steps = sum(r.inner_steps + 1 for r in want.records)
+
+        _use_cpus(monkeypatch, cpus)
+        calls = {"n": 0}
+        real_step, real_battery = nn.gradient_step, viz.run_battery
+
+        def step(*args):
+            calls["n"] += 1
+            if calls["n"] > sequential_steps:  # the pass after the converged battery
+                return 0.5, np.full_like(args[1], np.nan)
+            return real_step(*args)
+
+        def slow_battery(*args):  # in the helper: the pass fails before it returns
+            time.sleep(0.2)
+            return real_battery(*args)
+
+        monkeypatch.setattr(viz, "gradient_step", step)
+        monkeypatch.setattr(viz, "run_battery", slow_battery)
+        got_image, got = visualize(model, 0, image, _SPECULATION_SCHEDULE, config, stop)
+        assert multiprocessing.active_children() == []
+        assert got_image.tobytes() == want_image.tobytes()
+        assert got.status == "converged" and got.records == want.records
+        # forked, the failing pass ran; in-process the battery came first
+        assert calls["n"] == sequential_steps + (cpus == 2)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_battery_error_reaches_the_caller(self, monkeypatch, battery_pids, cpus):
+        seed, config, stop = _SPECULATION_CASES["iteration_cap"]
+        model, image = random_small_model(seed)
+        _use_cpus(monkeypatch, cpus)
+        calls = {"n": 0}
+        real = viz.run_battery
+
+        def failing(*args):  # runs in the helper: the count is per process
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise NonFiniteError("layer 4 (dense) produced non-finite values")
+            return real(*args)
+
+        monkeypatch.setattr(viz, "run_battery", failing)
+        with pytest.raises(NonFiniteError) as err:
+            visualize(model, 0, image, _SPECULATION_SCHEDULE, config, stop)
+        assert type(err.value) is NonFiniteError
+        assert str(err.value) == "layer 4 (dense) produced non-finite values"
+        assert multiprocessing.active_children() == []
+
+    def test_failing_pass_before_a_failing_battery_raises_the_battery_error(
+        self, monkeypatch, battery_pids
+    ):
+        # the sequential loop would have raised the battery's error first
+        seed, config, stop = _SPECULATION_CASES["iteration_cap"]
+        model, image = random_small_model(seed)
+        _use_cpus(monkeypatch, 2)
+        calls = {"n": 0}
+        real_step = nn.gradient_step
+
+        def step(*args):
+            calls["n"] += 1
+            if calls["n"] > config.max_inner_steps + 1:  # the second pass
+                return 0.5, np.full_like(args[1], np.inf)
+            return real_step(*args)
+
+        def failing(*args):
+            time.sleep(0.2)
+            raise NonFiniteError("battery failed")
+
+        monkeypatch.setattr(viz, "gradient_step", step)
+        monkeypatch.setattr(viz, "run_battery", failing)
+        with pytest.raises(NonFiniteError, match="battery failed"):
+            visualize(model, 0, image, _SPECULATION_SCHEDULE, config, stop)
+        assert multiprocessing.active_children() == []
 
 
 class TestBaseline:
