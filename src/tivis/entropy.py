@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import visualizer
 from .errors import TivisError
 from .parallel import fork_map
 from .transforms import constant_image
@@ -200,8 +201,6 @@ def init_sweep(
     parallel.fork_map; records are sorted by gray level, so the report does
     not depend on the processing order.
     """
-    from .visualizer import visualize  # local import to avoid a cycle
-
     if not gray_levels:
         raise ValueError("gray_levels must be nonempty")
     # every level is checked before the first visualization runs
@@ -211,7 +210,7 @@ def init_sweep(
     def run_level(gray) -> InitRecord:
         init = constant_image(h, w, float(gray))
         try:
-            final, trace = visualize(model, target_class, init, schedule, config, stop)
+            final, trace = visualizer.visualize(model, target_class, init, schedule, config, stop)
             emap = entropy_map(to_grayscale(final), window=window, stride=stride)
             total, _ = second_order_entropy(emap)
             return InitRecord(

@@ -1,24 +1,25 @@
-"""Fan-out of independent runs over forked worker processes.
+"""Fan-out of independent runs over forked helper processes.
 
-``fork_map(fn, items)`` returns ``[fn(x) for x in items]``, computed in
-``min(len(items), usable CPUs // BLAS threads per worker)`` forked workers;
-``taskset`` restricts the usable CPUs. The BLAS threads per worker are the
-count the user set, or one when none is set: each worker then sets OpenBLAS
-to one thread, which would otherwise run a thread per CPU in every worker.
-Workers inherit ``fn``, so only the items and the results are pickled, and
-all have exited when the call returns, also when ``fn`` raises. Where
-workers cannot help, the map runs in-process.
-
-``Helper(fn)`` computes ``fn(x)`` for one item at a time in a single forked
-process beside the caller, which goes on with its own work meanwhile. It
-forks where ``fork_map`` would run two workers, with the same BLAS pin;
-elsewhere ``fn(x)`` runs in-process when the caller first asks for it.
+``Helper(fn)`` computes ``fn(x)`` for one item at a time in a forked process
+beside the caller, which goes on with its own work meanwhile.
+``fork_map(fn, items)`` returns ``[fn(x) for x in items]``, computed on
+``min(len(items), usable CPUs // BLAS threads per worker)`` helpers; each
+idle helper takes the next item. ``taskset`` restricts the usable CPUs. The
+BLAS threads per worker are the count the user set, or one when none is
+set: each helper then sets OpenBLAS to one thread, which would otherwise run
+a thread per CPU in every process. Helpers inherit ``fn``, so only the items
+and the results are pickled. The first item that raises, or a helper that
+dies, raises in the caller at once, and no helper outlives the call. A
+``Helper`` forks where ``fork_map`` would run two; where helpers cannot
+help, ``fn(x)`` runs in-process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import multiprocessing
+import multiprocessing.connection
 import os
 
 import numpy as np
@@ -87,33 +88,29 @@ def _worker_count(n_items: int, threads: int) -> int:
     return max(1, min(n_items, _usable_cpus() // threads))
 
 
-_worker_fn = None  # set in each forked worker by _start_worker
-
-
-def _start_worker(fn, pin) -> None:
-    global _worker_fn
-    _worker_fn = fn
-    if pin is not None:
-        pin(1)
-
-
-def _call_worker_fn(item):
-    return _worker_fn(item)
-
-
 def fork_map(fn, items) -> list:
-    """[fn(x) for x in items], with the items spread over forked workers."""
+    """[fn(x) for x in items], with the items spread over forked helpers."""
     items = list(items)
-    threads, pin = _blas_plan()
+    threads, _ = _blas_plan()
     workers = _worker_count(len(items), threads)
     if workers == 1:
         return [fn(x) for x in items]
-    # fork does not pickle the initializer's arguments: each worker inherits fn
-    with multiprocessing.get_context("fork").Pool(workers, _start_worker, (fn, pin)) as pool:
-        results = pool.map(_call_worker_fn, items, chunksize=1)
-        pool.close()
-        pool.join()
-    return results
+    results = [None] * len(items)
+    todo = enumerate(items)
+    # the stack exits helpers in reverse start order, as it must: each later child holds a copy
+    # of every earlier helper's pipe end, so an earlier child sees EOF only once the later exit
+    with contextlib.ExitStack() as stack:
+        idle = [stack.enter_context(Helper(fn)) for _ in range(workers)]
+        busy = {}  # a helper -> the index of the item it computes
+        while True:
+            for helper, (index, item) in zip(idle, todo):
+                helper.submit(item)
+                busy[helper] = index
+            if not busy:
+                return results
+            idle = multiprocessing.connection.wait(list(busy))
+            for helper in idle:
+                results[busy.pop(helper)] = helper.result()
 
 
 def _serve(fn, conn, callers_end, pin) -> None:
@@ -175,6 +172,9 @@ class Helper:
             self._item = item
         else:
             self._conn.send(item)
+
+    def fileno(self) -> int:  # a forked helper's pipe, for multiprocessing.connection.wait
+        return self._conn.fileno()
 
     def ready(self) -> bool:
         if self._pending and (self._conn is None or self._conn.poll()):

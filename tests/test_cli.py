@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import write_model_file
 
@@ -357,3 +359,97 @@ def test_overflow_is_one_error_line(tmp_path, command):
     )
     assert proc.returncode == 1
     assert proc.stderr == "error: NonFiniteError: layer 0 (conv2d) produced non-finite values\n"
+
+
+_EDGE_TOKENS = ("0", "-1", "nan", "inf", "1e308", str(2**63), "", "junk")
+# the flags that set how much work a call does: always given, and small
+_COUNT_FLAGS = ("--max-inner", "--max-outer", "--epochs", "--count-per-class")
+_COUNT_EDGE_TOKENS = ("0", "-1", "nan", "", "junk")
+_ALWAYS_GIVEN = _COUNT_FLAGS + ("--class", "--image")
+_VISUALIZE_FLAGS = (
+    "--class", "--q-target", "--q-test", "--step-size", "--max-inner", "--gradient", "--objective"
+)
+_SUBCOMMAND_FLAGS = {
+    "make-dataset": ("--count-per-class",),
+    "train": ("--dataset", "--count-per-class", "--epochs", "--lr", "--batch-size", "--val-split"),
+    "classify": ("-k", "--variants", "--rect"),
+    "visualize": _VISUALIZE_FLAGS + ("--init", "--schedule", "--battery", "--max-outer"),
+    "baseline": _VISUALIZE_FLAGS + ("--init", "--battery"),
+    "sweep-init": _VISUALIZE_FLAGS
+    + ("--schedule", "--battery", "--max-outer", "--grays", "--window", "--stride"),
+    "entropy": ("--image", "--window", "--stride", "--map-out"),
+    "invert": ("--image",),
+    "screen": ("--image", "--rect"),
+}
+_COMMON_FLAGS = ("--seed", "--model", "--out", "--report")
+_VALID_TOKENS = {
+    "--seed": ("0", "7"),
+    "--out": ("out.ppm",),
+    "--report": ("report.txt",),
+    "--map-out": ("map.ppm",),
+    "--dataset": (".",),
+    "--lr": ("0.05",),
+    "--batch-size": ("4",),
+    "--val-split": ("0.25",),
+    "-k": ("2",),
+    "--variants": ("original,screened,inverted",),
+    "--rect": ("2,2,4,4",),
+    "--class": ("alpha", "beta", "2"),
+    "--q-target": ("0.9",),
+    "--q-test": ("0.5",),
+    "--step-size": ("2",),
+    "--gradient": ("raw",),
+    "--objective": ("logit",),
+    "--schedule": ("rot:10x2",),
+    "--battery": ("rot-sweep:90",),
+    "--grays": ("0,128",),
+    "--window": ("3",),
+    "--stride": ("2",),
+    **{flag: ("1", "2") for flag in _COUNT_FLAGS},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMAND_FLAGS))
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_any_argv_exits_cleanly(
+    tmp_path, monkeypatch, capsys, confident_model_file, sample_ppm, command, data
+):
+    monkeypatch.chdir(tmp_path)  # relative output paths land in tmp_path
+    missing = str(tmp_path / "missing" / "x.ppm")
+    valid = {
+        **_VALID_TOKENS,
+        "--model": (str(confident_model_file),),
+        "--image": (str(sample_ppm),),
+        "--init": ("40", str(sample_ppm)),
+    }
+    argv = [command]
+    for flag in _SUBCOMMAND_FLAGS[command] + _COMMON_FLAGS:
+        # most flags are valid, so that most calls get past argparse
+        kind = data.draw(st.sampled_from(("valid",) * 4 + ("edge", "absent")))
+        if kind == "absent" and flag not in _ALWAYS_GIVEN:
+            continue
+        if kind == "edge":
+            pool = (_COUNT_EDGE_TOKENS if flag in _COUNT_FLAGS else _EDGE_TOKENS) + (missing,)
+        else:
+            pool = valid[flag]
+        argv += [flag, data.draw(st.sampled_from(pool))]
+    if command == "classify":
+        images = st.sampled_from((str(sample_ppm), missing) + _EDGE_TOKENS)
+        argv += data.draw(st.lists(images, min_size=1, max_size=2))
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # an argparse usage error
+        assert exc.code == 2, argv
+        return
+    err = capsys.readouterr().err
+    assert code in (0, 1), argv
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)

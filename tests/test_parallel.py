@@ -1,6 +1,9 @@
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +21,7 @@ def two_workers(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [0, 1, 5])
-@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("cpus", [1, 2, 4])
 def test_results_in_item_order(monkeypatch, two_workers, n, cpus):
     monkeypatch.setattr(P, "_usable_cpus", lambda: cpus)
     items = [3 * i + 1 for i in range(n)][::-1]
@@ -47,7 +50,42 @@ def test_exception_propagates_and_no_worker_outlives_it(two_workers):
     with pytest.raises(RuntimeError, match="item 3 failed"):
         P.fork_map(fn, range(5))
     assert multiprocessing.active_children() == []
-    assert P._worker_fn is None  # the parent's module state is never written
+
+
+_DYING_WORKER = """
+import multiprocessing, os
+from tivis import parallel as P
+P._usable_cpus = lambda: 2
+try:
+    P.fork_map(lambda x: os._exit(3) if x == 1 else x, range(4))
+except RuntimeError as exc:
+    print(exc, len(multiprocessing.active_children()))
+"""
+
+
+def test_a_worker_that_dies_is_an_error(two_workers):
+    # in a subprocess, so that a map which waits for the dead worker times out
+    env = dict(os.environ)
+    src = str(Path(P.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _DYING_WORKER], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "the helper process exited without a result 0\n"
+
+
+def test_first_failure_raises_without_waiting_for_the_rest(two_workers):
+    def fn(x):
+        if x == 0:
+            raise KeyError(x)
+        time.sleep(30.0)
+
+    t0 = time.perf_counter()
+    with pytest.raises(KeyError):
+        P.fork_map(fn, range(4))
+    assert time.perf_counter() - t0 < 5.0
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.skipif(P._openblas_thread_setter() is None, reason="numpy without OpenBLAS")
