@@ -184,18 +184,18 @@ def _parse_layer(tokens, blob, index, lineno):
     if dims:
         shape = tuple(_int_token(params[key], lineno) for key in dims)
         where = f"manifest line {lineno}: layer {index} ({kind})"
-        fields["weight"] = _read_array(blob, params["w"], shape, where, "weight")
-        fields["bias"] = _read_array(blob, params["b"], shape[:1], where, "bias")
+        fields["weight"] = _read_array(blob, params["w"], shape, where, lineno, "weight")
+        fields["bias"] = _read_array(blob, params["b"], shape[:1], where, lineno, "bias")
     return cls(**fields)
 
 
-def _read_array(blob, span, shape, where, name):
+def _read_array(blob, span, shape, where, lineno, name):
     try:
         off_text, len_text = span.split(":")
-        off, nbytes = int(off_text), int(len_text)
     except ValueError:
         raise ModelFormatError(f"{where}: bad {name} span {span!r}") from None
-    if off < 0 or nbytes < 0 or off + nbytes > len(blob):
+    off, nbytes = _int_token(off_text, lineno), _int_token(len_text, lineno)
+    if off + nbytes > len(blob):
         raise BlobLengthError(
             f"{where}: {name} span {off}:{nbytes} exceeds blob of {len(blob)} bytes"
         )

@@ -9,15 +9,17 @@ BLAS threads per worker are the count the user set, or one when none is
 set: each helper then sets OpenBLAS to one thread, which would otherwise run
 a thread per CPU in every process. Helpers inherit ``fn``, so only the items
 and the results are pickled. The first item that raises, or a helper that
-dies, raises in the caller at once, and no helper outlives the call. A
-``Helper`` forks where ``fork_map`` would run two; where helpers cannot
-help, ``fn(x)`` runs in-process.
+dies, raises in the caller at once, and no helper outlives the call. One
+plan gives the workers and the pin for n items: ``fork_map`` asks it for
+its items, a ``Helper`` for two. Where it gives one worker, ``fn(x)`` runs
+in-process, a ``Helper``'s at ``submit``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -42,6 +44,7 @@ def _user_blas_threads() -> int | None:
     return None
 
 
+@functools.cache
 def _openblas_thread_setter():
     """OpenBLAS's set-num-threads function as numpy loaded it, or None.
 
@@ -60,39 +63,32 @@ def _openblas_thread_setter():
     return None
 
 
-def _blas_plan():
-    """(BLAS threads per worker, the setter each worker calls with 1, or None).
-
-    A user's count is never overridden; 0 is a BLAS thread per CPU.
-    """
-    threads = _user_blas_threads()
-    if threads is not None:
-        return threads, None
-    setter = _openblas_thread_setter()
-    return (0, None) if setter is None else (1, setter)
-
-
 def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _worker_count(n_items: int, threads: int) -> int:
-    """Workers for n_items at threads BLAS threads each; 1 runs in-process.
+def _plan(n_items: int):
+    """(workers for n_items, the setter each worker calls with 1, or None).
 
+    One worker runs in-process. A worker takes the user's BLAS count, which
+    is never overridden (0 is a thread per CPU), or else one pinned thread.
     Without fork the workers could not inherit fn, and a daemonic process
     may not start children.
     """
+    threads, pin = _user_blas_threads(), None
+    if threads is None:
+        pin = _openblas_thread_setter()
+        threads = 0 if pin is None else 1
     forkable = "fork" in multiprocessing.get_all_start_methods()
     if not threads or not forkable or multiprocessing.current_process().daemon:
-        return 1
-    return max(1, min(n_items, _usable_cpus() // threads))
+        return 1, pin
+    return max(1, min(n_items, _usable_cpus() // threads)), pin
 
 
 def fork_map(fn, items) -> list:
     """[fn(x) for x in items], with the items spread over forked helpers."""
     items = list(items)
-    threads, _ = _blas_plan()
-    workers = _worker_count(len(items), threads)
+    workers, _ = _plan(len(items))
     if workers == 1:
         return [fn(x) for x in items]
     results = [None] * len(items)
@@ -123,31 +119,34 @@ def _serve(fn, conn, callers_end, pin) -> None:
             item = conn.recv()
         except EOFError:  # the caller closed its end
             return
-        try:
-            outcome = (True, fn(item))
-        except Exception as exc:  # sent to the caller, which raises it
-            outcome = (False, exc)
-        conn.send(outcome)
+        conn.send(_outcome(fn, item))
+
+
+def _outcome(fn, item):
+    """(True, fn(item)), or (False, the exception it raised) for the caller to raise."""
+    try:
+        return True, fn(item)
+    except Exception as exc:
+        return False, exc
 
 
 class Helper:
     """fn(x) for one item at a time, in a forked process beside the caller.
 
-    submit(x) starts fn(x); ready() tells whether it has finished, and in
-    the in-process case computes it; result() returns fn(x), waiting for it,
-    or raises what fn raised. Use it as a context manager: the process has
-    exited when the block ends.
+    submit(x) starts fn(x), or computes it when the helper runs in-process;
+    ready() tells whether it has finished; result() returns fn(x), waiting
+    for it, or raises what fn raised. Use it as a context manager: the
+    process has exited when the block ends.
     """
 
     def __init__(self, fn):
         self._fn = fn
-        self._conn = self._process = None
-        self._item = self._outcome = None
-        self._pending = False  # an item was submitted and its outcome not yet taken in
+        self._conn = self._process = self._outcome = None
+        self._pending = False  # an item was sent and its outcome not yet taken in
 
     def __enter__(self):
-        threads, pin = _blas_plan()
-        if _worker_count(2, threads) > 1:
+        workers, pin = _plan(2)
+        if workers > 1:
             ctx = multiprocessing.get_context("fork")
             self._conn, child = ctx.Pipe()
             # fork does not pickle the target's arguments: the process inherits fn
@@ -167,17 +166,17 @@ class Helper:
 
     def submit(self, item) -> None:
         """Start fn(item); the previous item's result must have been taken in."""
-        self._pending, self._outcome = True, None
         if self._conn is None:
-            self._item = item
+            self._outcome = _outcome(self._fn, item)
         else:
+            self._pending, self._outcome = True, None
             self._conn.send(item)
 
     def fileno(self) -> int:  # a forked helper's pipe, for multiprocessing.connection.wait
         return self._conn.fileno()
 
     def ready(self) -> bool:
-        if self._pending and (self._conn is None or self._conn.poll()):
+        if self._pending and self._conn.poll():
             self._take()
         return not self._pending
 
@@ -190,15 +189,8 @@ class Helper:
         return value
 
     def _take(self) -> None:
-        if self._conn is not None:
-            try:
-                self._outcome = self._conn.recv()
-            except EOFError:
-                raise RuntimeError("the helper process exited without a result") from None
-        else:
-            item, self._item = self._item, None
-            try:
-                self._outcome = (True, self._fn(item))
-            except Exception as exc:  # kept, as the forked case keeps it, for result()
-                self._outcome = (False, exc)
+        try:
+            self._outcome = self._conn.recv()
+        except EOFError:
+            raise RuntimeError("the helper process exited without a result") from None
         self._pending = False

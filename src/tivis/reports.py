@@ -24,8 +24,11 @@ def _header(kind: str) -> str:
     return f"#tivis-report v1 kind={kind}"
 
 
-def _config_lines(config: OptimConfig, stop: StoppingCriterion) -> list:
+def _preamble(kind, config, stop, target_class, class_name, schedule_text, battery_text) -> list:
+    """The opening lines a run and a sweep report share: what was run, and how."""
     return [
+        _header(kind),
+        f"target_class {target_class} {class_name}",
         f"q_target {_f(config.q_target)}",
         f"q_test {_f(stop.q_test)}",
         f"step_size {_f(config.step_size)}",
@@ -33,6 +36,8 @@ def _config_lines(config: OptimConfig, stop: StoppingCriterion) -> list:
         f"max_outer_iterations {stop.max_outer_iterations}",
         f"gradient_mode {config.gradient_mode}",
         f"objective {config.objective}",
+        f"schedule {schedule_text}",
+        f"battery {battery_text}",
     ]
 
 
@@ -46,11 +51,7 @@ def run_report(
     battery_text: str,
     image_id: str,
 ) -> str:
-    lines = [_header("run")]
-    lines.append(f"target_class {target_class} {class_name}")
-    lines.extend(_config_lines(config, stop))
-    lines.append(f"schedule {schedule_text}")
-    lines.append(f"battery {battery_text}")
+    lines = _preamble("run", config, stop, target_class, class_name, schedule_text, battery_text)
     for rec in trace.records:
         transform = rec.transform.label() if rec.transform is not None else "-"
         lines.append(
@@ -72,11 +73,7 @@ def sweep_report(
     schedule_text: str,
     battery_text: str,
 ) -> str:
-    lines = [_header("sweep")]
-    lines.append(f"target_class {target_class} {class_name}")
-    lines.extend(_config_lines(config, stop))
-    lines.append(f"schedule {schedule_text}")
-    lines.append(f"battery {battery_text}")
+    lines = _preamble("sweep", config, stop, target_class, class_name, schedule_text, battery_text)
     lines.append(f"entropy_window {report.window}")
     lines.append(f"entropy_stride {report.stride}")
     for rec in report.records:

@@ -75,9 +75,9 @@ def shape_params(seed: int, class_index: int, sample_index: int) -> ShapeParams:
     return ShapeParams(class_index, cx, cy, radius, angle, fg, bg)
 
 
-def render_shape(params: ShapeParams, size: int = IMAGE_SIZE) -> np.ndarray:
-    """Rasterize one sample to an (H, W, 3) display-unit buffer."""
-    y, x = np.mgrid[0:size, 0:size].astype(np.float64)
+def render_shape(params: ShapeParams) -> np.ndarray:
+    """Rasterize one sample to an (IMAGE_SIZE, IMAGE_SIZE, 3) display-unit buffer."""
+    y, x = np.mgrid[0:IMAGE_SIZE, 0:IMAGE_SIZE].astype(np.float64)
     dx = x - params.cx
     dy = y - params.cy
     r = params.radius
@@ -90,7 +90,7 @@ def render_shape(params: ShapeParams, size: int = IMAGE_SIZE) -> np.ndarray:
         u = c * dx + s * dy
         v = -s * dx + c * dy
         mask = _membership(name, u, v, r)
-    img = np.full((size, size, 3), float(params.bg))
+    img = np.full((IMAGE_SIZE, IMAGE_SIZE, 3), float(params.bg))
     img[mask] = float(params.fg)
     return img
 
@@ -130,16 +130,16 @@ def _hexagon(u: np.ndarray, v: np.ndarray, circumradius: float) -> np.ndarray:
     return (p0 <= apothem) & (p60 <= apothem) & (p120 <= apothem)
 
 
-def generate_dataset(seed: int, count_per_class: int, size: int = IMAGE_SIZE) -> ShapeDataset:
+def generate_dataset(seed: int, count_per_class: int) -> ShapeDataset:
     """Balanced dataset: count_per_class samples of each of the 6 classes."""
     if not 1 <= count_per_class <= MAX_COUNT_PER_CLASS:
         raise ValueError(
             f"count_per_class must be in [1, {MAX_COUNT_PER_CLASS}], got {count_per_class}"
         )
     labels = np.repeat(np.arange(len(CLASS_NAMES), dtype=np.int64), count_per_class)
-    images = np.empty((len(labels), size, size, 3), dtype=np.float64)
+    images = np.empty((len(labels), IMAGE_SIZE, IMAGE_SIZE, 3), dtype=np.float64)
     for pos, label in enumerate(labels):
-        images[pos] = render_shape(shape_params(seed, int(label), pos % count_per_class), size)
+        images[pos] = render_shape(shape_params(seed, int(label), pos % count_per_class))
     return ShapeDataset(images=images, labels=labels, seed=seed)
 
 

@@ -24,6 +24,8 @@ _STREAM_SPLIT = 1
 _STREAM_SHUFFLE = 2
 _STREAM_INIT = 3
 
+_EVAL_CHUNK = 32  # images per forward pass when measuring accuracy
+
 # Reference run recorded for reproducibility: seed 7, 100 samples per class,
 # the architecture below, and the default TrainConfig reach >= 0.95
 # validation accuracy (see tests/test_acceptance.py).
@@ -147,12 +149,13 @@ def train(dataset: ShapeDataset, model: Model, config: TrainConfig) -> TrainResu
     return TrainResult(model=model, history=history)
 
 
-def _accuracy(model: Model, xnorm: np.ndarray, labels: np.ndarray, chunk: int = 32) -> float:
+def _accuracy(model: Model, xnorm: np.ndarray, labels: np.ndarray) -> float:
     correct = 0
-    for start in range(0, len(labels), chunk):
-        logits, _ = forward_batch(model, xnorm[start : start + chunk], keep_caches=False)
+    for start in range(0, len(labels), _EVAL_CHUNK):
+        batch = slice(start, start + _EVAL_CHUNK)
+        logits, _ = forward_batch(model, xnorm[batch], keep_caches=False)
         # argmax breaks ties toward the smaller class index
-        correct += int(np.sum(np.argmax(logits, axis=1) == labels[start : start + chunk]))
+        correct += int(np.sum(np.argmax(logits, axis=1) == labels[batch]))
     return correct / len(labels)
 
 

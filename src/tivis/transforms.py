@@ -228,7 +228,7 @@ def parse_transform_list(text: str) -> tuple:
             specs.extend(rotation_sweep(float(value)))
             continue
         repeat = 1
-        if "x" in value and kind != "flip":
+        if "x" in value:
             value, count = value.rsplit("x", 1)
             repeat = int(count)
             if not 1 <= repeat <= MAX_TRANSFORMS:

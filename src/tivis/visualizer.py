@@ -21,8 +21,8 @@ transformed image whatever the battery finds. So each battery goes to a
 ``parallel.Helper`` and the next pass starts at once; before each gradient
 step the pass asks whether the battery has come back, and it is dropped if
 the battery passed. A helper that runs in-process computes the battery at
-that first question, before the pass takes a step. Either way the records,
-the status and the image are the bits of the loop run in sequence.
+submit, before the next pass starts, as the loop run in sequence does.
+Either way the records, the status and the image are the bits of that loop.
 """
 
 from __future__ import annotations
@@ -77,12 +77,13 @@ class StoppingCriterion:
             raise ValueError(f"max_outer_iterations must be >= 1, got {self.max_outer_iterations}")
 
 
-def default_stop(
-    schedule: TransformSchedule, revolutions: int = 3, q_test: float = 0.8
-) -> StoppingCriterion:
-    """Outer-iteration budget of a few full passes over the schedule."""
+DEFAULT_REVOLUTIONS = 3  # full passes over the schedule in the default budget
+
+
+def default_stop(schedule: TransformSchedule, q_test: float = 0.8) -> StoppingCriterion:
+    """Outer-iteration budget of DEFAULT_REVOLUTIONS full passes over the schedule."""
     return StoppingCriterion(
-        q_test=q_test, max_outer_iterations=revolutions * len(schedule.steps)
+        q_test=q_test, max_outer_iterations=DEFAULT_REVOLUTIONS * len(schedule.steps)
     )
 
 

@@ -337,7 +337,7 @@ class TestParallelSweep:
         monkeypatch.setattr(P, "_usable_cpus", lambda: 2)
         clear_blas_thread_vars(monkeypatch)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert P._worker_count(len(self.levels), P._blas_plan()[0]) == 2
+        assert P._plan(len(self.levels)) == (2, None)
 
     def test_workers_match_one_level_sweeps_and_in_process_report(self, monkeypatch):
         model, schedule, config, stop = self._setup()
@@ -354,7 +354,7 @@ class TestParallelSweep:
         ]
         assert pooled.records == alone
         monkeypatch.setattr(P, "_usable_cpus", lambda: 1)
-        assert P._worker_count(len(self.levels), P._blas_plan()[0]) == 1
+        assert P._plan(len(self.levels)) == (1, None)
         in_process = E.init_sweep(model, 0, schedule, config, stop, gray_levels=self.levels)
         assert report(pooled) == report(in_process)
         assert pooled.best_init == in_process.best_init
@@ -428,31 +428,33 @@ class TestParallelSweep:
     )
     def test_worker_count_rule(self, monkeypatch, cpus, var, value, pin, levels, workers):
         monkeypatch.setattr(P, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(P, "_openblas_thread_setter", lambda: (lambda n: None) if pin else None)
+        setter = (lambda n: None) if pin else None
+        monkeypatch.setattr(P, "_openblas_thread_setter", lambda: setter)
         clear_blas_thread_vars(monkeypatch)
         if var is not None:
             monkeypatch.setenv(var, value)
-        assert P._worker_count(levels, P._blas_plan()[0]) == workers
+        assert P._plan(levels) == (workers, setter if var is None else None)
 
     @pytest.mark.parametrize("blocker", ["no fork", "daemon"])
     def test_no_workers_without_fork_or_in_a_daemon(self, monkeypatch, blocker):
         monkeypatch.setattr(P, "_usable_cpus", lambda: 4)
         monkeypatch.setattr(P, "_openblas_thread_setter", lambda: lambda n: None)
         clear_blas_thread_vars(monkeypatch)
-        assert P._worker_count(27, P._blas_plan()[0]) == 4
+        assert P._plan(27)[0] == 4
         if blocker == "no fork":
             monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         else:
             monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
-        assert P._worker_count(27, P._blas_plan()[0]) == 1
+        assert P._plan(27)[0] == 1
 
     @pytest.mark.parametrize("var", P.BLAS_THREAD_VARS)
     def test_blas_pin_leaves_a_user_setting_alone(self, monkeypatch, var):
         calls = []
+        monkeypatch.setattr(P, "_usable_cpus", lambda: 6)
         monkeypatch.setattr(P, "_openblas_thread_setter", lambda: calls.append)
         clear_blas_thread_vars(monkeypatch)
         monkeypatch.setenv(var, "3")
-        assert P._blas_plan() == (3, None)
+        assert P._plan(27) == (2, None)  # three threads per worker, unpinned
         monkeypatch.delenv(var)
-        assert P._blas_plan() == (1, calls.append)
+        assert P._plan(27) == (6, calls.append)
         assert calls == []  # the plan never changes the parent's own BLAS threads

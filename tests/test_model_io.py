@@ -113,6 +113,10 @@ def test_save_rejects_whitespace_class_names(tmp_path):
         "layer conv2d out=2 in=3 kh=1 kw=1 stride=1 pad=1.5 w=0:48 b=48:16",  # non-integer pad
         "layer dense out=-2 in=48 w=0:768 b=768:16",  # negative dimension
         "layer dense out=2 in=48 w=0-768 b=768:16",  # malformed span
+        "layer dense out=2 in=48 w=+0:768 b=768:16",  # signed span offset
+        "layer dense out=2 in=48 w=-0:768 b=768:16",  # negative zero span offset
+        "layer dense out=2 in=48 w=0_0:768 b=768:16",  # underscore in span offset
+        "layer dense out=2 in=48 w=0:76_8 b=768:16",  # underscore in span length
         "layer pool9",  # unknown kind
     ],
 )

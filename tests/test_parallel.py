@@ -88,6 +88,10 @@ def test_first_failure_raises_without_waiting_for_the_rest(two_workers):
     assert multiprocessing.active_children() == []
 
 
+def test_openblas_setter_is_found_once():
+    assert P._openblas_thread_setter() is P._openblas_thread_setter()
+
+
 @pytest.mark.skipif(P._openblas_thread_setter() is None, reason="numpy without OpenBLAS")
 def test_workers_pin_openblas_to_one_thread(monkeypatch):
     setter, get_threads = openblas_thread_functions()
@@ -131,14 +135,14 @@ class TestHelper:
         assert (pids == {os.getpid()}) == (cpus == 1)
         assert multiprocessing.active_children() == []
 
-    def test_in_process_computes_at_the_first_ready(self, monkeypatch, two_workers):
+    def test_in_process_computes_at_submit(self, monkeypatch, two_workers):
         monkeypatch.setattr(P, "_usable_cpus", lambda: 1)
         calls = []
         with P.Helper(calls.append) as helper:
-            helper.submit(5)
             assert calls == []
-            assert helper.ready()
+            helper.submit(5)
             assert calls == [5]
+            assert helper.ready()
             assert helper.result() is None
         assert calls == [5]
 

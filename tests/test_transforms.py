@@ -158,8 +158,10 @@ class TestSpecsAndSchedules:
         specs = T.parse_transform_list("rot:10x36")
         assert len(specs) == 36
         assert all(s.kind == "rotate" and s.angle == 10.0 for s in specs)
-        mixed = T.parse_transform_list("rot:-15,flip:h,flip:v,scale:0.9x2")
-        assert [s.label() for s in mixed] == ["rot:-15", "flip:h", "flip:v", "scale:0.9", "scale:0.9"]
+        mixed = T.parse_transform_list("rot:-15,flip:hx2,flip:v,scale:0.9x2")
+        assert [s.label() for s in mixed] == [
+            "rot:-15", "flip:h", "flip:h", "flip:v", "scale:0.9", "scale:0.9"
+        ]
 
     def test_parse_rotation_sweep(self):
         battery = T.parse_transform_list("rot-sweep:10")
