@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from . import entropy as entropy_mod
+from . import parallel
 from . import reports
 from .errors import TivisError
 from .model_io import load_model, save_model
@@ -41,6 +42,9 @@ from .visualizer import (
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # one command per process: the N=1 step's matrices are too small for a
+    # second BLAS thread, which would only take the helpers' CPU
+    parallel.pin_blas_threads()
     try:
         # an overflow is reported once, as the NonFiniteError it leads to,
         # not also as numpy's warning; no result depends on the error state

@@ -126,7 +126,9 @@ def _normalize(pixel_norm: str, x: np.ndarray) -> np.ndarray:
 #   backward(dy, cache, param_grads=True) -> (dx, grads)
 #                         grads is (dW, db) for layers with parameters when
 #                         param_grads is true, None otherwise
-# Layers with parameters also implement weight_grads(dy, cache) -> (dW, db).
+# Layers with parameters also implement weight_grads(dy, cache) -> (dW, db);
+# Conv2d's are per-sample stacks, whose sums over axis 0 in batch order are
+# the batch's, so a batch split into shards sums to the same bits.
 # Batched activations: images (N, C, H, W), vectors (N, D).
 
 
@@ -209,14 +211,16 @@ class Conv2d:
             at = k // kw * wp + k % kw
             dxf[:, at::s] += dcols[:, k, : (s * block - at + s - 1) // s]
         dx = dxf.reshape(n, ic, s * rows, wp)[:, :, p : p + h, p : p + w]
-        return dx, (self.weight_grads(dy, cache) if param_grads else None)
+        if not param_grads:
+            return dx, None
+        return dx, tuple(g.sum(axis=0) for g in self.weight_grads(dy, cache))
 
     def weight_grads(self, dy, cache):
-        """(dW, db) of a backward pass, without the input gradient."""
+        """(dW, db) of each sample, (N, *weight.shape) and (N, out_ch),
+        without the input gradient."""
         n, oc = dy.shape[:2]
-        dy3 = dy.reshape(n, oc, -1)
-        dw = np.matmul(dy3, cache[1].transpose(0, 2, 1)).sum(axis=0)
-        return dw.reshape(self.weight.shape), dy.sum(axis=(0, 2, 3))
+        dw = np.matmul(dy.reshape(n, oc, -1), cache[1].transpose(0, 2, 1))
+        return dw.reshape(n, *self.weight.shape), dy.sum(axis=(2, 3))
 
 
 @dataclass
@@ -439,14 +443,15 @@ def check_input(model: Model, image: np.ndarray) -> np.ndarray:
     return image
 
 
-def forward_batch(model: Model, xnorm: np.ndarray, keep_caches: bool = True):
-    """Run normalized (N, 3, H, W) input through the layers.
+def forward_batch(model: Model, xnorm: np.ndarray, keep_caches: bool = True, start: int = 0):
+    """Run normalized (N, 3, H, W) input through the layers, or, from layer
+    start on, the input of that layer.
 
     A ReLU followed by a MaxPool2x2 runs as one fused step of the pool.
     Returns (logits, caches), one (layer, backward, cache) per step.
     """
     x, caches, layers = xnorm, [], model.layers
-    i = 0
+    i = start
     while i < len(layers):
         layer = layers[i]
         if layer.kind == "relu" and i + 1 < len(layers) and layers[i + 1].kind == "maxpool2x2":
@@ -469,8 +474,8 @@ def backward_batch(caches: list, d: np.ndarray, param_grads: bool = False):
     """Back-propagate d, the gradient at the logits, through forward_batch's caches.
 
     Returns (dx, grads): the input gradient and []; or, with param_grads,
-    None and the (layer, (dW, db)) of each layer with parameters, top first,
-    without computing the first step's unused input gradient.
+    None and the (layer, layer.weight_grads) of each layer with parameters,
+    top first, without computing the first step's input gradient.
     """
     grads = []
     for k in range(len(caches) - 1, -1, -1):

@@ -12,7 +12,9 @@ and the results are pickled. The first item that raises, or a helper that
 dies, raises in the caller at once, and no helper outlives the call. One
 plan gives the workers and the pin for n items: ``fork_map`` asks it for
 its items, a ``Helper`` for two. Where it gives one worker, ``fn(x)`` runs
-in-process, a ``Helper``'s at ``submit``.
+in-process, a ``Helper``'s at ``submit``. ``visualize`` runs its batteries
+on a ``Helper``, and ``train`` and ``evaluate`` each batch's trunk on two.
+``pin_blas_threads()`` gives the calling process the helpers' pin.
 """
 
 from __future__ import annotations
@@ -83,6 +85,14 @@ def _plan(n_items: int):
     if not threads or not forkable or multiprocessing.current_process().daemon:
         return 1, pin
     return max(1, min(n_items, _usable_cpus() // threads)), pin
+
+
+def pin_blas_threads() -> None:
+    """Set the calling process's OpenBLAS to one thread when no thread
+    variable is set, as each helper does; a count the user set stays."""
+    _, pin = _plan(1)
+    if pin is not None:
+        pin(1)
 
 
 def fork_map(fn, items) -> list:

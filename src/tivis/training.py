@@ -2,21 +2,31 @@
 
 Deterministic by construction: weight init, the train/val split, and the
 per-epoch shuffle each use their own stream derived from the config seed,
-and the update loop is sequential. Identical (seed, config) pairs produce
+and the updates run in sequence. Identical (seed, config) pairs produce
 bit-identical final weights.
+
+Each batch's trunk, the layers before the first Dense, runs as two shards on
+two ``parallel.Helper`` processes, and the head at full batch in the caller;
+``evaluate`` splits its forwards the same way. The trunk computes each sample
+on its own, with the same bits at any batch size, and a shard returns
+per-sample weight gradients that the caller sums in batch order, so the bits
+do not depend on the split, nor on whether the helpers run in-process.
+``Dense``'s ``x @ W.T`` is not batch-invariant, so the head is never split.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NonFiniteError, ShapeMismatchError, TrainingDivergedError
 from .nn import Conv2d, Dense, Flatten, MaxPool2x2, Model, Relu
 from .nn import backward_batch, forward_batch, normalize_images, softmax
+from .parallel import Helper
 from .rng import Xoshiro256, derive_seed
 from .shapes import CLASS_NAMES, ShapeDataset
 
@@ -124,44 +134,124 @@ def train(dataset: ShapeDataset, model: Model, config: TrainConfig) -> TrainResu
     val_idx, train_idx = _split_indices(len(dataset), config)
 
     history = []
-    for epoch in range(config.epochs):
-        perm = list(train_idx)
-        Xoshiro256(derive_seed(config.seed, _STREAM_SHUFFLE, epoch)).shuffle(perm)
-        total_loss = 0.0
-        try:
-            for start in range(0, len(perm), config.batch_size):
-                batch = np.asarray(perm[start : start + config.batch_size])
-                xb = xnorm[batch]
-                yb = labels[batch]
-                logits, caches = forward_batch(model, xb)
-                loss, d = _cross_entropy_and_dlogits(logits, yb)
-                total_loss += loss * len(batch)
-                for layer, (dw, db) in backward_batch(caches, d, param_grads=True)[1]:
-                    layer.weight -= config.learning_rate * dw
-                    layer.bias -= config.learning_rate * db
-        except NonFiniteError as exc:  # blown-up weights surface mid-epoch
-            raise TrainingDivergedError(epoch) from exc
-        epoch_loss = total_loss / len(perm)
-        if not np.isfinite(epoch_loss):
-            raise TrainingDivergedError(epoch)
-        val_acc = _accuracy(model, xnorm[val_idx], labels[val_idx])
-        history.append(EpochRecord(epoch=epoch, train_loss=epoch_loss, val_accuracy=val_acc))
+    with _ShardedModel(model, xnorm) as net:
+        for epoch in range(config.epochs):
+            perm = list(train_idx)
+            Xoshiro256(derive_seed(config.seed, _STREAM_SHUFFLE, epoch)).shuffle(perm)
+            total_loss = 0.0
+            try:
+                for start in range(0, len(perm), config.batch_size):
+                    batch = np.asarray(perm[start : start + config.batch_size])
+                    logits, caches = net.forward(batch)
+                    loss, d = _cross_entropy_and_dlogits(logits, labels[batch])
+                    total_loss += loss * len(batch)
+                    for layer, (dw, db) in net.backward(caches, d):
+                        layer.weight -= config.learning_rate * dw
+                        layer.bias -= config.learning_rate * db
+            except NonFiniteError as exc:  # blown-up weights surface mid-epoch
+                raise TrainingDivergedError(epoch) from exc
+            epoch_loss = total_loss / len(perm)
+            if not np.isfinite(epoch_loss):
+                raise TrainingDivergedError(epoch)
+            val_acc = _accuracy(net, val_idx, labels[val_idx])
+            history.append(EpochRecord(epoch=epoch, train_loss=epoch_loss, val_accuracy=val_acc))
     return TrainResult(model=model, history=history)
 
 
-def _accuracy(model: Model, xnorm: np.ndarray, labels: np.ndarray) -> float:
+class _ShardedModel:
+    """The model with each batch's trunk, its layers before the first Dense,
+    split over two helpers, which have exited when the with block ends.
+
+    forward(rows) gives (logits, the head's caches) for xnorm[rows], and
+    backward(caches, d) each layer's (layer, (dW, db)), top first, for the
+    gradient d at those logits.
+    """
+
+    def __init__(self, model: Model, xnorm: np.ndarray):
+        kinds = [layer.kind for layer in model.layers]
+        self._cut = kinds.index("dense") if "dense" in kinds else len(kinds)
+        self._model = model
+        trunk = replace(model, layers=model.layers[: self._cut])
+        self._params = [layer for layer in trunk.layers if hasattr(layer, "weight_grads")]
+        self._helpers = [Helper(_shard(trunk, self._params, xnorm)) for _ in range(2)]
+        self._stack = contextlib.ExitStack()
+
+    def __enter__(self):
+        # the helpers fork here, inheriting xnorm; the stack exits them in reverse order
+        for helper in self._helpers:
+            self._stack.enter_context(helper)
+        return self
+
+    def __exit__(self, *exc_info):
+        return self._stack.__exit__(*exc_info)
+
+    def forward(self, rows: np.ndarray, keep_caches: bool = True):
+        params = [(layer.weight, layer.bias) for layer in self._params]
+        x = np.concatenate(self._map([(half, params, keep_caches) for half in _halves(rows)]))
+        return forward_batch(self._model, x, keep_caches, start=self._cut)
+
+    def backward(self, caches: list, d: np.ndarray) -> list:
+        # the head's weight gradients, then the input gradient backward_batch
+        # skips with them; the shards' per-sample gradients are summed over the
+        # whole batch in batch order, since a shard's own sum changes the bits
+        grads = backward_batch(caches, d, param_grads=True)[1]
+        per_layer = zip(*self._map(_halves(backward_batch(caches, d)[0])))
+        return grads + [
+            (layer, tuple(np.concatenate(parts).sum(axis=0) for parts in zip(*shards)))
+            for layer, shards in zip(reversed(self._params), per_layer)
+        ]
+
+    def _map(self, jobs: list) -> list:
+        helpers = self._helpers[: len(jobs)]
+        for helper, job in zip(helpers, jobs):
+            helper.submit(job)
+        return [helper.result() for helper in helpers]
+
+
+def _halves(a: np.ndarray) -> list:
+    """a's first rows, the larger half for an odd count, and the rest; one
+    row is not split."""
+    return np.array_split(a, min(len(a), 2))
+
+
+def _shard(trunk: Model, layers: list, xnorm: np.ndarray):
+    """One helper's share of the trunk: a job (rows, params, keep_caches)
+    gives the layers with parameters their weights and biases and runs the
+    rows forward, keeping the caches; the gradient at the output of those
+    rows then runs them back and gives each layer's per-sample (dW, db),
+    top first."""
+    caches = []
+
+    def step(job):
+        nonlocal caches
+        if isinstance(job, np.ndarray):
+            grads = backward_batch(caches, job, param_grads=True)[1]
+            caches = []
+            return [pieces for _, pieces in grads]
+        rows, params, keep_caches = job
+        for layer, (weight, bias) in zip(layers, params):
+            layer.weight, layer.bias = weight, bias
+        out, caches = forward_batch(trunk, xnorm[rows], keep_caches)
+        return out
+
+    return step
+
+
+def _accuracy(net: _ShardedModel, rows: np.ndarray, labels: np.ndarray) -> float:
+    """Top-1 accuracy on xnorm[rows], whose labels are labels."""
     correct = 0
     for start in range(0, len(labels), _EVAL_CHUNK):
-        batch = slice(start, start + _EVAL_CHUNK)
-        logits, _ = forward_batch(model, xnorm[batch], keep_caches=False)
+        chunk = slice(start, start + _EVAL_CHUNK)
+        logits, _ = net.forward(rows[chunk], keep_caches=False)
         # argmax breaks ties toward the smaller class index
-        correct += int(np.sum(np.argmax(logits, axis=1) == labels[batch]))
+        correct += int(np.sum(np.argmax(logits, axis=1) == labels[chunk]))
     return correct / len(labels)
 
 
 def evaluate(model: Model, dataset: ShapeDataset) -> float:
     """Top-1 accuracy of the model on the whole dataset."""
-    return _accuracy(model, _model_inputs(model, dataset), dataset.labels)
+    with _ShardedModel(model, _model_inputs(model, dataset)) as net:
+        return _accuracy(net, np.arange(len(dataset)), dataset.labels)
 
 
 def _model_inputs(model: Model, dataset: ShapeDataset) -> np.ndarray:

@@ -9,6 +9,7 @@ import pytest
 
 from helpers import clear_blas_thread_vars, openblas_thread_functions
 
+from tivis import cli
 from tivis import parallel as P
 from tivis.errors import NonFiniteGradientError
 
@@ -86,6 +87,23 @@ def test_first_failure_raises_without_waiting_for_the_rest(two_workers):
         P.fork_map(fn, range(4))
     assert time.perf_counter() - t0 < 5.0
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "env, calls", [({}, [1]), ({"OPENBLAS_NUM_THREADS": "3"}, []), ({"OMP_NUM_THREADS": "1"}, [])]
+)
+def test_caller_pin_leaves_a_user_setting_alone(monkeypatch, tmp_path, env, calls):
+    recorded = []
+    monkeypatch.setattr(P, "_openblas_thread_setter", lambda: recorded.append)
+    clear_blas_thread_vars(monkeypatch)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    P.pin_blas_threads()
+    assert recorded == calls
+    # the CLI applies it once per command, before the command runs
+    recorded.clear()
+    assert cli.main(["invert", "--image", str(tmp_path / "missing.ppm")]) == 1
+    assert recorded == calls
 
 
 def test_openblas_setter_is_found_once():

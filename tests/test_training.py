@@ -1,18 +1,27 @@
+import hashlib
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from helpers import clear_blas_thread_vars
+
+from tivis import parallel, training
 from tivis.errors import TrainingDivergedError
+from tivis.model_io import save_model
 from tivis.nn import forward_batch, normalize_images
 from tivis.shapes import ShapeDataset, generate_dataset
 from tivis.training import (
+    _EVAL_CHUNK,
     TrainConfig,
     _cross_entropy_and_dlogits,
     evaluate,
     reference_architecture,
     train,
     training_split,
+    validation_split,
 )
 
 
@@ -115,6 +124,88 @@ def test_memorizing_model_perfect_on_train_set():
     assert evaluate(result.model, training_split(ds, cfg)) == 1.0
 
 
+@pytest.fixture
+def shard_pids(monkeypatch, tmp_path):
+    """Wraps each shard to log the pid of each job; returns a reader that
+    empties the log.
+
+    One BLAS thread is set, so the helpers fork when two CPUs are usable.
+    """
+    clear_blas_thread_vars(monkeypatch)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    log = tmp_path / "shard_pids"
+    real = training._shard
+
+    def logged(*args):
+        step = real(*args)
+
+        def run(job):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return step(job)
+
+        return run
+
+    monkeypatch.setattr(training, "_shard", logged)
+
+    def read():
+        pids = {int(pid) for pid in log.read_text().split()}
+        log.unlink()
+        return pids
+
+    return read
+
+
+class TestTrunkOnHelpers:
+    """train and evaluate run each batch's trunk as two shards on two helpers."""
+
+    @staticmethod
+    def _run(monkeypatch, shard_pids, cpus, fn):
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
+        out = fn()
+        assert multiprocessing.active_children() == []
+        pids = shard_pids()
+        if cpus == 1:
+            assert pids == {os.getpid()}
+        else:
+            assert len(pids) >= 2 and os.getpid() not in pids
+        return out
+
+    def test_helpers_give_the_in_process_bits(self, monkeypatch, shard_pids):
+        ds = _small_dataset(seed=11, per_class=4)
+        cfg = TrainConfig(epochs=2, learning_rate=0.1, batch_size=3, seed=11)
+        # a last batch of one sample, which one shard runs alone, and a last
+        # validation chunk that splits unevenly
+        assert len(training_split(ds, cfg)) % 3 == 1
+        assert len(validation_split(ds, cfg)) % _EVAL_CHUNK % 2 == 1
+
+        def run():
+            result = train(ds, reference_architecture(11), cfg)
+            return result, evaluate(result.model, ds)
+
+        (alone, alone_acc), (forked, forked_acc) = (
+            self._run(monkeypatch, shard_pids, cpus, run) for cpus in (1, 2)
+        )
+        for a, b in zip(alone.model.layers, forked.model.layers):
+            if a.kind in ("conv2d", "dense"):
+                assert a.weight.tobytes() == b.weight.tobytes()
+                assert a.bias.tobytes() == b.bias.tobytes()
+        assert [repr(h) for h in alone.history] == [repr(h) for h in forked.history]
+        assert alone_acc == forked_acc
+
+    def test_divergence_raises_at_the_same_epoch(self, monkeypatch, shard_pids):
+        ds = _small_dataset(seed=8, per_class=4)
+        cfg = TrainConfig(epochs=3, learning_rate=1e150, batch_size=8, seed=8)
+
+        def run():
+            with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError) as err:
+                train(ds, reference_architecture(8), cfg)
+            return err.value.epoch
+
+        alone, forked = (self._run(monkeypatch, shard_pids, cpus, run) for cpus in (1, 2))
+        assert alone == forked
+
+
 @pytest.mark.slow
 class TestReferenceRun:
     def test_validation_accuracy_target(self, reference_run):
@@ -126,3 +217,12 @@ class TestReferenceRun:
         result, _, _ = reference_run
         assert all(np.isfinite(h.train_loss) for h in result.history)
         assert len(result.history) == 30
+
+    def test_trained_model_bytes_are_golden(self, reference_run, tmp_path):
+        path = tmp_path / "reference.gbxm"
+        save_model(reference_run[0].model, path)
+        # recorded with numpy 2.4.6 and OpenBLAS 0.3.31 (scipy-openblas64); a
+        # change breaks the bit-reproducibility contract
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "d954df44890dfc54a118b940845ab037005e75867c8dcc8b70b37e711ae770ec"
+        )
