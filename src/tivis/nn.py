@@ -126,6 +126,8 @@ def _normalize(pixel_norm: str, x: np.ndarray) -> np.ndarray:
 #   backward(dy, cache, param_grads=True) -> (dx, grads)
 #                         grads is (dW, db) for layers with parameters when
 #                         param_grads is true, None otherwise
+# MaxPool2x2 also implements maximum(x) -> y, forward's output without the
+# winners its cache holds, which forward-only passes run instead of forward.
 # Layers with parameters also implement weight_grads(dy, cache) -> (dW, db);
 # Conv2d's are per-sample stacks, whose sums over axis 0 in batch order are
 # the batch's, so a batch split into shards sums to the same bits.
@@ -251,12 +253,16 @@ class MaxPool2x2:
             raise ShapeChainError(f"maxpool2x2 needs at least 2x2 input, got {h}x{w}")
         return (c, h // 2, w // 2)
 
-    def forward(self, x):
-        h, w = x.shape[2] // 2 * 2, x.shape[3] // 2 * 2
-        q0, q1, q2, q3 = (x[:, :, i:h:2, j:w:2] for i in (0, 1) for j in (0, 1))
+    def maximum(self, x):
+        """forward's pooled output alone, without the winners."""
+        q0, q1, q2, q3 = _quadrants(x)
         # np.maximum returns its second argument on a tie, so this order keeps
         # the first tied position's value, sign of zero included
-        y = np.maximum(np.maximum(q3, q2), np.maximum(q1, q0))
+        return np.maximum(np.maximum(q3, q2), np.maximum(q1, q0))
+
+    def forward(self, x):
+        y = self.maximum(x)
+        q0, q1, q2, _ = _quadrants(x)
         # winner index in (0,0) (0,1) (1,0) (1,1) order, ties to the first:
         # the count of leading quadrants that miss the maximum
         n0 = q0 != y
@@ -279,16 +285,21 @@ class MaxPool2x2:
 
     def backward(self, dy, cache, param_grads=True):
         xshape, idx = cache
-        h, w = xshape[2] // 2 * 2, xshape[3] // 2 * 2
         # the four quadrant writes cover an even input whole
-        dx = np.empty(xshape) if (h, w) == tuple(xshape[2:]) else np.zeros(xshape)
+        dx = np.zeros(xshape) if xshape[2] % 2 or xshape[3] % 2 else np.empty(xshape)
         # where(idx == k, dy, +0.0) bit for bit, without its branches: the
         # integer product of dy's bit pattern with 1 or 0
-        bits, dxbits = dy.view(np.int64), dx.view(np.int64)
-        for k in range(4):
-            quadrant = dxbits[:, :, k // 2 : h : 2, k % 2 : w : 2]
+        bits = dy.view(np.int64)
+        for k, quadrant in enumerate(_quadrants(dx.view(np.int64))):
             np.multiply(bits, (idx == k).view(np.uint8), out=quadrant)
         return dx, None
+
+
+def _quadrants(x):
+    """The four strided 2x2-window positions of (N, C, H, W) x, in (0,0) (0,1)
+    (1,0) (1,1) order, each (N, C, H // 2, W // 2)."""
+    h, w = x.shape[2] // 2 * 2, x.shape[3] // 2 * 2
+    return [x[:, :, i:h:2, j:w:2] for i in (0, 1) for j in (0, 1)]
 
 
 @dataclass
@@ -448,15 +459,23 @@ def forward_batch(model: Model, xnorm: np.ndarray, keep_caches: bool = True, sta
     start on, the input of that layer.
 
     A ReLU followed by a MaxPool2x2 runs as one fused step of the pool.
-    Returns (logits, caches), one (layer, backward, cache) per step.
+    Returns (logits, caches), one (layer, backward, cache) per step. Without
+    keep_caches, a pool step, fused or not, takes only the pooled maximum
+    and skips the winners that only a backward pass reads.
     """
     x, caches, layers = xnorm, [], model.layers
     i = start
     while i < len(layers):
         layer = layers[i]
-        if layer.kind == "relu" and i + 1 < len(layers) and layers[i + 1].kind == "maxpool2x2":
+        fused = layer.kind == "relu" and i + 1 < len(layers) and layers[i + 1].kind == "maxpool2x2"
+        if fused:
             i += 1
             layer = layers[i]
+        if layer.kind == "maxpool2x2" and not keep_caches:
+            x = layer.maximum(x)
+            if fused:
+                x = np.maximum(x, 0.0)
+        elif fused:
             x, cache = layer.forward_relu(x)
             backward = layer.backward_relu
         else:

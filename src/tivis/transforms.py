@@ -56,33 +56,52 @@ def _require_square(image: np.ndarray) -> np.ndarray:
 
 
 def _bilinear_sample(image: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
-    """Sample image at real coordinates; out-of-range neighbors contribute 0."""
+    """Sample image at real coordinates; out-of-range neighbors contribute 0.
+
+    The image is copied once into zero-padded planes (3, h + 4, w + 4), and
+    each of the four corners is one flat gather from them. A coordinate
+    outside [-1, side] touches no pixel, so clipping the coordinates to
+    [-2, side] first keeps every corner inside the padding without changing
+    a result, and keeps infinite or huge coordinates out of the integer
+    cast. A corner in the padding adds weight * +0.0 to a sum that starts at
+    +0.0, which leaves every bit, sign of zero included, as a sum over the
+    in-range corners alone would have it. The (H, W, 3) result lies in
+    memory as (3, H, W), the layout the forward pass reads without a copy.
+    """
     h, w = image.shape[:2]
+    sx = np.clip(sx, -2.0, w)
+    sy = np.clip(sy, -2.0, h)
     x0 = np.floor(sx)
     y0 = np.floor(sy)
     fx = sx - x0
     fy = sy - y0
-    x0 = x0.astype(np.int64)
-    y0 = y0.astype(np.int64)
-    out = np.zeros(image.shape, dtype=np.float64)
+    wp = w + 4
+    planes = np.zeros((3, h + 4, wp))
+    planes[:, 2 : h + 2, 2 : w + 2] = image.transpose(2, 0, 1)
+    planes = planes.reshape(3, -1)
+    base = ((y0 + 2.0) * wp + (x0 + 2.0)).astype(np.int64)
+    out = np.zeros((3, h, w))
     corners = (
-        (x0, y0, (1.0 - fx) * (1.0 - fy)),
-        (x0 + 1, y0, fx * (1.0 - fy)),
-        (x0, y0 + 1, (1.0 - fx) * fy),
-        (x0 + 1, y0 + 1, fx * fy),
+        (0, (1.0 - fx) * (1.0 - fy)),
+        (1, fx * (1.0 - fy)),
+        (wp, (1.0 - fx) * fy),
+        (wp + 1, fx * fy),
     )
-    for xi, yi, weight in corners:
-        valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-        vals = image[np.clip(yi, 0, h - 1), np.clip(xi, 0, w - 1)]
-        out += (weight * valid)[:, :, None] * vals
-    return clamp(out)
+    for off, weight in corners:
+        out += weight * np.take(planes, base + off, axis=1)
+    return clamp(out.transpose(1, 2, 0))
 
 
 def rotate(image: np.ndarray, angle: float) -> np.ndarray:
     """Rotate a square image by the given angle in degrees."""
     image = _require_square(image)
     n = image.shape[0]
-    a = float(angle) % 360.0
+    angle = float(angle)
+    if not math.isfinite(angle):
+        raise ValueError(f"rotate angle must be finite, got {angle}")
+    a = angle % 360.0
+    if a == 360.0:  # a tiny negative angle rounds up to a full turn
+        a = 0.0
     if a in _EXACT_TRIG:
         c, s = _EXACT_TRIG[a]
     else:
@@ -120,7 +139,10 @@ def scale(image: np.ndarray, factor: float) -> np.ndarray:
         raise ValueError(f"scale factor must be in (0, {SCALE_FACTOR_MAX}], got {factor}")
     n = image.shape[0]
     center = (n - 1) / 2.0
-    coords = (np.arange(n, dtype=np.float64) - center) / factor + center
+    # a tiny factor sends the outer coordinates to +-inf, which the
+    # sampler's coordinate clip turns into zero contributions
+    with np.errstate(over="ignore"):
+        coords = (np.arange(n, dtype=np.float64) - center) / factor + center
     sx = np.broadcast_to(coords[None, :], (n, n))
     sy = np.broadcast_to(coords[:, None], (n, n))
     return _bilinear_sample(image, sx, sy)

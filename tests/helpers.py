@@ -172,6 +172,68 @@ def forward_direct(model, image):
 
 
 # --------------------------------------------------------------------------
+# Bilinear resampling oracle (scalar loops)
+
+
+def bilinear_direct(image, source):
+    """Inverse-mapped bilinear resampling of a square (n, n, 3) image.
+
+    source(i, j) gives the real (x, y) coordinates that output row i,
+    column j samples. Each channel sums the four corners in (x0, y0)
+    (x0+1, y0) (x0, y0+1) (x0+1, y0+1) order, skipping any corner outside
+    the image, into a sum that starts at 0.0; the sum is clamped to
+    [0, 255].
+    """
+    n = image.shape[0]
+    out = np.zeros(image.shape)
+    for i, j in np.ndindex(n, n):
+        sx, sy = source(i, j)
+        x0, y0 = math.floor(sx), math.floor(sy)
+        fx, fy = sx - x0, sy - y0
+        corners = (
+            (x0, y0, (1.0 - fx) * (1.0 - fy)),
+            (x0 + 1, y0, fx * (1.0 - fy)),
+            (x0, y0 + 1, (1.0 - fx) * fy),
+            (x0 + 1, y0 + 1, fx * fy),
+        )
+        for ch in range(3):
+            acc = 0.0
+            for xi, yi, weight in corners:
+                if 0 <= xi < n and 0 <= yi < n:
+                    acc += weight * float(image[yi, xi, ch])
+            out[i, j, ch] = min(max(acc, 0.0), 255.0)
+    return out
+
+
+def rotate_direct(image, angle):
+    """transforms.rotate by bilinear_direct: output (i, j) samples the point
+    that rotating it by -angle about the center reaches; the sine and cosine
+    of quarter turns are exact."""
+    n = image.shape[0]
+    a = float(angle) % 360.0  # 360.0 for a tiny negative angle
+    exact = {0.0: (1.0, 0.0), 90.0: (0.0, 1.0), 180.0: (-1.0, 0.0), 270.0: (0.0, -1.0), 360.0: (1.0, 0.0)}
+    c, s = exact[a] if a in exact else (math.cos(math.radians(a)), math.sin(math.radians(a)))
+    center = (n - 1) / 2.0
+
+    def source(i, j):
+        dx, dy = j - center, i - center
+        return c * dx + s * dy + center, -s * dx + c * dy + center
+
+    return bilinear_direct(image, source)
+
+
+def scale_direct(image, factor):
+    """transforms.scale by bilinear_direct: output (i, j) samples the point
+    at 1 / factor of its offset from the center."""
+    center = (image.shape[0] - 1) / 2.0
+
+    def source(i, j):
+        return (j - center) / factor + center, (i - center) / factor + center
+
+    return bilinear_direct(image, source)
+
+
+# --------------------------------------------------------------------------
 # Finite-difference input-gradient oracle
 
 

@@ -184,6 +184,73 @@ class TestMaxPool:
             _assert_same_bytes(dx, want_dx)
 
 
+class TestForwardOnly:
+    """forward_batch without caches skips the pool winners, not a bit."""
+
+    @staticmethod
+    def _pool_without_relu_model(seed, size=9):
+        # conv, pool, ReLU: the pool is not fused, and the odd side drops a
+        # row and a column
+        rng = np.random.default_rng(seed)
+        feat = 3 * ((size - 2) // 2) ** 2
+        return nn.Model(
+            layers=[
+                nn.Conv2d(weight=rng.normal(0, 0.4, (3, 3, 3, 3)), bias=rng.normal(0, 0.2, 3)),
+                nn.MaxPool2x2(),
+                nn.Relu(),
+                nn.Flatten(),
+                nn.Dense(weight=rng.normal(0, 0.5, (4, feat)), bias=rng.normal(0, 0.2, 4)),
+            ],
+            input_shape=(3, size, size),
+            class_names=("a", "b", "c", "d"),
+        ).validate()
+
+    def _models(self):
+        yield reference_architecture(7)
+        for seed in range(2):
+            yield self._pool_without_relu_model(seed)
+        for seed in range(9):  # all three variants, odd and even sides
+            yield random_small_model(seed)[0]
+
+    @staticmethod
+    def _step_outputs(model, x, keep_caches):
+        """forward_batch's output after each layer of model."""
+        prefixes = (nn.Model(model.layers[:k], model.input_shape, model.class_names)
+                    for k in range(1, len(model.layers) + 1))
+        return [nn.forward_batch(prefix, x, keep_caches)[0] for prefix in prefixes]
+
+    def test_every_output_equals_the_cached_pass(self):
+        kinds = set()
+        for k, model in enumerate(self._models()):
+            kinds.update(layer.kind for layer in model.layers)
+            _, h, w = model.input_shape
+            images = np.random.default_rng(k).uniform(0, 255, (3, h, w, 3))
+            images[:, : h // 2] = 0.0  # ties in the pool windows
+            x = nn.normalize_images(model.pixel_norm, images)
+            _, caches = nn.forward_batch(model, x)
+            assert caches and nn.forward_batch(model, x, keep_caches=False)[1] == []
+            for fast, cached in zip(self._step_outputs(model, x, False), self._step_outputs(model, x, True)):
+                _assert_same_bytes(fast, cached)
+        assert {"maxpool2x2", "avgpool_global", "relu"} <= kinds
+
+    def test_pool_steps_keep_signed_zeros(self):
+        for layers in ([nn.Relu(), nn.MaxPool2x2()], [nn.MaxPool2x2(), nn.Relu()], [nn.MaxPool2x2()]):
+            model = nn.Model(layers, (3, 8, 8), ())
+            for x, _ in _pool_cases():
+                _assert_same_bytes(nn.forward_batch(model, x, keep_caches=False)[0],
+                                   nn.forward_batch(model, x)[0])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("layer, kind", [(0, "conv2d"), (4, "dense")])
+    def test_non_finite_names_the_same_layer(self, layer, kind):
+        model = self._pool_without_relu_model(3)
+        model.layers[layer].weight[:] = 1e308
+        x = nn.normalize_images(model.pixel_norm, np.full((1, 9, 9, 3), 255.0))
+        for keep_caches in (True, False):
+            with pytest.raises(NonFiniteError, match=rf"^layer {layer} \({kind}\) produced"):
+                nn.forward_batch(model, x, keep_caches=keep_caches)
+
+
 class TestNonFiniteChecks:
     """Only conv2d, dense and avgpool_global outputs are checked finite."""
 

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from helpers import rotate_direct, scale_direct
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +28,12 @@ class TestRotate:
         expected = np.rot90(img, k=-k, axes=(0, 1))
         np.testing.assert_array_equal(got, expected)
 
+    @pytest.mark.parametrize("angle", [-1e-14, -1e-20, 1e-20, -0.0])
+    def test_tiny_angles_are_the_identity(self, angle):
+        # -1e-14 % 360.0 rounds to 360.0, which is the zero turn
+        img = _random_image(1)
+        assert T.rotate(img, angle).tobytes() == img.tobytes()
+
     def test_2x2_quarter_turn_permutation(self):
         img = np.zeros((2, 2, 3))
         img[0, 0], img[0, 1], img[1, 0], img[1, 1] = 1, 2, 3, 4
@@ -39,6 +48,11 @@ class TestRotate:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             T.rotate(np.zeros((4, 6, 3)), 10)
+
+    @pytest.mark.parametrize("angle", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_angle_rejected(self, angle):
+        with pytest.raises(ValueError, match="finite"):
+            T.rotate(_random_image(2), angle)
 
     def test_roundtrip_rmse_inside_inscribed_disk(self):
         # smooth radial test image; bound frozen from the oracle run
@@ -121,11 +135,46 @@ class TestScale:
         rmse = float(np.sqrt(np.mean((out - img)[half, half] ** 2)))
         assert rmse <= 0.30
 
+    @pytest.mark.parametrize("factor", [5e-324, 1e-300])
+    def test_tiny_factor_gives_zeros_without_warnings(self, factor):
+        # every source coordinate lies far outside the image (an even side
+        # has no center pixel), some of them at +-inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = T.scale(_random_image(8), factor)
+        assert out.tobytes() == np.zeros(out.shape).tobytes()
+
     def test_factor_out_of_range(self):
         img = _random_image(7)
         for bad in (0.0, -1.0, 9.0):
             with pytest.raises(ValueError):
                 T.scale(img, bad)
+
+
+def _unclamped_image(seed, n):
+    """Values beyond [0, 255] and a fifth of the entries -0.0."""
+    rng = np.random.default_rng(seed)
+    img = rng.uniform(-80.0, 340.0, (n, n, 3))
+    img[rng.random(img.shape) < 0.2] = -0.0
+    return img
+
+
+class TestScalarOracle:
+    """rotate and scale have the bits of the scalar bilinear loop."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 12])
+    def test_rotate(self, n):
+        angles = [0, 90, 180, 270, -90, 360 - 1e-9]
+        angles += np.random.default_rng(n).uniform(-360.0, 360.0, 6).tolist()
+        for k, angle in enumerate(angles):
+            img = _unclamped_image(100 * n + k, n)
+            assert T.rotate(img, angle).tobytes() == rotate_direct(img, angle).tobytes(), angle
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 12])
+    @pytest.mark.parametrize("factor", [0.01, 0.7, 8.0])
+    def test_scale(self, n, factor):
+        img = _unclamped_image(n, n)
+        assert T.scale(img, factor).tobytes() == scale_direct(img, factor).tobytes()
 
 
 class TestEnergyBound:
@@ -228,6 +277,12 @@ class TestRunBattery:
         before = img.copy()
         T.run_battery(model, img, 0, T.parse_transform_list("rot-sweep:90,flip:h,scale:0.5"))
         np.testing.assert_array_equal(img, before)
+
+    def test_tiny_scale_entries_see_a_zero_image(self):
+        model = self._model()
+        results = T.run_battery(model, _random_image(43, n=8), 0, T.parse_transform_list("scale:5e-324,scale:1e-300"))
+        zero = nn.forward(model, np.zeros((8, 8, 3))).confidences[0]
+        assert [c for _, c in results] == [zero, zero]
 
 
 _SPEC_FRAGMENTS = st.sampled_from(
