@@ -2,7 +2,9 @@
 
 One command per process. Exit code 0 on success; on failure a single
 machine-readable line "error: <ErrorType>: <message>" goes to stderr and
-the exit code is 1 (argparse usage errors keep their conventional 2).
+the exit code is 1. Each subcommand declares only the flags it reads: an
+unknown flag, a missing required one, or `train --dataset` together with
+`--count-per-class` is an argparse usage error, with its conventional 2.
 """
 
 from __future__ import annotations
@@ -56,74 +58,83 @@ def main(argv=None) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="root random seed")
-    common.add_argument("--model", help="model file path")
-    common.add_argument("--out", help="output path")
-    common.add_argument("--report", help="write a structured text report here")
-
     parser = argparse.ArgumentParser(
         prog="tivis",
         description="Transformation-invariant class visualizations for small CNNs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("make-dataset", parents=[common], help="generate the shapes dataset")
+    p = sub.add_parser("make-dataset", help="generate the shapes dataset")
+    p.add_argument("--seed", type=int, default=0, help="root random seed")
+    p.add_argument("--out", required=True, help="output path")
     p.add_argument("--count-per-class", type=int, default=100)
     p.set_defaults(func=_cmd_make_dataset)
 
-    p = sub.add_parser("train", parents=[common], help="train the reference classifier")
-    p.add_argument("--dataset", help="dataset directory (default: generate from --seed)")
-    p.add_argument("--count-per-class", type=int, default=100)
+    p = sub.add_parser("train", help="train the reference classifier")
+    p.add_argument("--seed", type=int, default=0, help="root random seed")
+    p.add_argument("--out", required=True, help="output path")
+    p.add_argument("--report", help="write a structured text report here")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--dataset", help="dataset directory (default: generate from --seed)")
+    source.add_argument("--count-per-class", type=int, default=100)
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--batch-size", type=int, default=8)
     p.add_argument("--val-split", type=float, default=0.2)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("classify", parents=[common], help="top-k report for images")
+    p = sub.add_parser("classify", help="top-k report for images")
+    p.add_argument("--model", required=True, help="model file path")
+    p.add_argument("--report", help="write a structured text report here")
     p.add_argument("images", nargs="+", help="PPM files to classify")
     p.add_argument("-k", type=int, default=5)
     p.add_argument("--variants", default="original", help="comma list: original,screened,inverted")
     p.add_argument("--rect", help="x,y,w,h for the screened variant")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("visualize", parents=[common], help="transformation-robust visualization")
+    p = sub.add_parser("visualize", help="transformation-robust visualization")
+    p.add_argument("--model", required=True, help="model file path")
+    p.add_argument("--out", help="output path")
+    p.add_argument("--report", help="write a structured text report here")
     _add_visualize_args(p)
-    _add_init_arg(p)
-    p.add_argument("--schedule", default=DEFAULT_SCHEDULE_TEXT)
-    p.add_argument("--battery", default=DEFAULT_BATTERY_TEXT)
-    p.add_argument("--max-outer", type=int, help="outer iteration cap (default: 3 schedule passes)")
+    _add_run_args(p)
+    p.add_argument("--init", default="0", help="gray level 0-255 or a PPM path (default 0)")
     p.set_defaults(func=_cmd_visualize)
 
-    p = sub.add_parser("baseline", parents=[common], help="classic single-pass visualization")
+    p = sub.add_parser("baseline", help="classic single-pass visualization")
+    p.add_argument("--model", required=True, help="model file path")
+    p.add_argument("--out", help="output path")
     _add_visualize_args(p)
-    _add_init_arg(p)
+    p.add_argument("--init", default="0", help="gray level 0-255 or a PPM path (default 0)")
     p.add_argument("--battery", help="optionally evaluate this battery on the result")
     p.set_defaults(func=_cmd_baseline)
 
-    p = sub.add_parser("sweep-init", parents=[common], help="gray-level initialization sweep")
+    p = sub.add_parser("sweep-init", help="gray-level initialization sweep")
+    p.add_argument("--model", required=True, help="model file path")
+    p.add_argument("--report", help="write a structured text report here")
     _add_visualize_args(p)
-    p.add_argument("--schedule", default=DEFAULT_SCHEDULE_TEXT)
-    p.add_argument("--battery", default=DEFAULT_BATTERY_TEXT)
-    p.add_argument("--max-outer", type=int)
+    _add_run_args(p)
     p.add_argument("--grays", help="comma list of gray levels (default: 0,10,...,250,255)")
     p.add_argument("--window", type=int, default=entropy_mod.DEFAULT_WINDOW)
     p.add_argument("--stride", type=int, default=entropy_mod.DEFAULT_STRIDE)
     p.set_defaults(func=_cmd_sweep_init)
 
-    p = sub.add_parser("entropy", parents=[common], help="entropy analytics of an image")
+    p = sub.add_parser("entropy", help="entropy analytics of an image")
+    p.add_argument("--report", help="write a structured text report here")
     p.add_argument("--image", required=True)
     p.add_argument("--window", type=int, default=entropy_mod.DEFAULT_WINDOW)
     p.add_argument("--stride", type=int, default=entropy_mod.DEFAULT_STRIDE)
     p.add_argument("--map-out", help="write the quantized entropy map as a PPM")
     p.set_defaults(func=_cmd_entropy)
 
-    p = sub.add_parser("invert", parents=[common], help="color-invert an image")
+    p = sub.add_parser("invert", help="color-invert an image")
+    p.add_argument("--out", required=True, help="output path")
     p.add_argument("--image", required=True)
     p.set_defaults(func=_cmd_invert)
 
-    p = sub.add_parser("screen", parents=[common], help="zero-square screening")
+    p = sub.add_parser("screen", help="zero-square screening")
+    p.add_argument("--model", required=True, help="model file path")
+    p.add_argument("--out", required=True, help="output path")
     p.add_argument("--image", required=True)
     p.add_argument("--rect", required=True, help="x,y,w,h")
     p.set_defaults(func=_cmd_screen)
@@ -134,7 +145,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _add_visualize_args(p):
     p.add_argument("--class", dest="target_class", required=True, help="class name or index")
     p.add_argument("--q-target", type=float, default=0.99)
-    p.add_argument("--q-test", type=float, default=0.8)
     p.add_argument("--step-size", type=float, default=1.0)
     p.add_argument("--max-inner", type=int, default=500)
     p.add_argument("--gradient", choices=("raw", "l2_normalized"), default="l2_normalized")
@@ -143,19 +153,12 @@ def _add_visualize_args(p):
     )
 
 
-def _add_init_arg(p):
-    p.add_argument("--init", default="0", help="gray level 0-255 or a PPM path (default 0)")
-
-
-def _require(args, name: str):
-    value = getattr(args, name.replace("-", "_"))
-    if value is None:
-        raise ValueError(f"--{name} is required for this command")
-    return value
-
-
-def _load_model(args):
-    return load_model(_require(args, "model"))
+def _add_run_args(p):
+    """The schedule, battery and stop of a visualize or sweep-init run (see _run_setup)."""
+    p.add_argument("--schedule", default=DEFAULT_SCHEDULE_TEXT)
+    p.add_argument("--battery", default=DEFAULT_BATTERY_TEXT)
+    p.add_argument("--q-test", type=float, default=0.8)
+    p.add_argument("--max-outer", type=int, help="outer iteration cap (default: 3 schedule passes)")
 
 
 def _resolve_class(model, text):
@@ -181,12 +184,6 @@ def _parse_rect(text) -> ScreenRect:
     return ScreenRect(*parts)
 
 
-def _stop_criterion(args, schedule) -> StoppingCriterion:
-    if args.max_outer is not None:
-        return StoppingCriterion(q_test=args.q_test, max_outer_iterations=args.max_outer)
-    return default_stop(schedule, q_test=args.q_test)
-
-
 def _optim_config(args) -> OptimConfig:
     return OptimConfig(
         q_target=args.q_target,
@@ -206,15 +203,13 @@ def _write_report(args, text: str) -> None:
 
 
 def _cmd_make_dataset(args) -> int:
-    out = _require(args, "out")
     dataset = generate_dataset(args.seed, args.count_per_class)
-    save_dataset(dataset, out)
-    print(f"wrote {len(dataset)} images to {out}")
+    save_dataset(dataset, args.out)
+    print(f"wrote {len(dataset)} images to {args.out}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    out = _require(args, "out")
     if args.dataset:
         dataset = load_dataset(args.dataset)
     else:
@@ -234,16 +229,16 @@ def _cmd_train(args) -> int:
         val_fraction=args.val_split,
     )
     result = train(dataset, arch, config)
-    save_model(result.model, out)
+    save_model(result.model, args.out)
     val_acc = evaluate(result.model, validation_split(dataset, config))
     if args.report:
         _write_report(args, reports.train_report(result.history, val_acc))
-    print(f"wrote model to {out} (val accuracy {val_acc:.4f})")
+    print(f"wrote model to {args.out} (val accuracy {val_acc:.4f})")
     return 0
 
 
 def _cmd_classify(args) -> int:
-    model = _load_model(args)
+    model = load_model(args.model)
     variants = tuple(v.strip() for v in args.variants.split(",") if v.strip())
     rect = _parse_rect(args.rect) if args.rect else None
     images = [(path, read_ppm(path)) for path in args.images]
@@ -254,12 +249,16 @@ def _cmd_classify(args) -> int:
 
 def _run_setup(args):
     """(model, target, schedule, config, stop) of a visualize or sweep-init command."""
-    model = _load_model(args)
+    model = load_model(args.model)
     target = _resolve_class(model, args.target_class)
     steps = parse_transform_list(args.schedule)
     battery = parse_transform_list(args.battery)
     schedule = TransformSchedule(steps=steps, battery=battery)
-    return model, target, schedule, _optim_config(args), _stop_criterion(args, schedule)
+    if args.max_outer is None:
+        stop = default_stop(schedule, q_test=args.q_test)
+    else:
+        stop = StoppingCriterion(q_test=args.q_test, max_outer_iterations=args.max_outer)
+    return model, target, schedule, _optim_config(args), stop
 
 
 def _cmd_visualize(args) -> int:
@@ -284,7 +283,7 @@ def _cmd_visualize(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    model = _load_model(args)
+    model = load_model(args.model)
     target = _resolve_class(model, args.target_class)
     init = _load_init(model, args.init)
     config = _optim_config(args)
@@ -292,12 +291,12 @@ def _cmd_baseline(args) -> int:
     if args.out:
         write_ppm(image, args.out)
     pred = forward(model, image)
-    print(f"confidence {pred.confidences[target]!r}")
+    print(f"confidence {float(pred.confidences[target])!r}")
     if args.battery:
         battery = parse_transform_list(args.battery)
         results = run_battery(model, image, target, battery)
         confs = np.array([c for _, c in results])
-        print(f"battery_min {confs.min()!r} battery_mean {confs.mean()!r}")
+        print(f"battery_min {float(confs.min())!r} battery_mean {float(confs.mean())!r}")
     return 0
 
 
@@ -345,19 +344,17 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    out = _require(args, "out")
-    write_ppm(invert(read_ppm(args.image)), out)
-    print(f"wrote {out}")
+    write_ppm(invert(read_ppm(args.image)), args.out)
+    print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_screen(args) -> int:
-    out = _require(args, "out")
-    model = _load_model(args)
+    model = load_model(args.model)
     image = read_ppm(args.image)
     rect = _parse_rect(args.rect)
-    write_ppm(zero_square(image, rect, model), out)
-    print(f"wrote {out}")
+    write_ppm(zero_square(image, rect, model), args.out)
+    print(f"wrote {args.out}")
     return 0
 
 

@@ -104,18 +104,22 @@ class EntropyMap:
     stride: int
 
 
-def entropy_map(gray: np.ndarray, window: int = DEFAULT_WINDOW, stride: int = DEFAULT_STRIDE) -> EntropyMap:
-    """Sliding-window co-occurrence entropy over the gray image."""
-    gray = np.asarray(gray, dtype=np.int64)
-    h, w = gray.shape
+def _map_shape(h: int, w: int, window: int, stride: int) -> tuple[int, int]:
+    """(rows, cols) of the entropy map of an h x w image; rejects a bad window or stride."""
     if window > min(h, w):
         raise ValueError(f"window {window} exceeds image size {h}x{w}")
     if window < 3:
         raise ValueError(f"window must be at least 3, got {window}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    rows = (h - window) // stride + 1
-    cols = (w - window) // stride + 1
+    return (h - window) // stride + 1, (w - window) // stride + 1
+
+
+def entropy_map(gray: np.ndarray, window: int = DEFAULT_WINDOW, stride: int = DEFAULT_STRIDE) -> EntropyMap:
+    """Sliding-window co-occurrence entropy over the gray image."""
+    gray = np.asarray(gray, dtype=np.int64)
+    h, w = gray.shape
+    rows, cols = _map_shape(h, w, window, stride)
     values = np.empty((rows, cols))
     for r in range(rows):
         for c in range(cols):
@@ -126,6 +130,13 @@ def entropy_map(gray: np.ndarray, window: int = DEFAULT_WINDOW, stride: int = DE
 
 class MapTooSmallError(TivisError):
     """The entropy map has fewer than 3x3 cells, too few for second-order entropy."""
+
+
+def _check_second_order(rows: int, cols: int) -> None:
+    if rows < 3 or cols < 3:
+        raise MapTooSmallError(
+            f"entropy map is {rows}x{cols}; second-order entropy needs at least 3x3"
+        )
 
 
 def quantize_map(map_: EntropyMap) -> np.ndarray:
@@ -140,11 +151,7 @@ def second_order_entropy(map_: EntropyMap):
     Returns (total, quantized). Raises MapTooSmallError below 3x3 cells;
     callers that only need a scalar may fall back to entropy2d of the image.
     """
-    rows, cols = map_.values.shape
-    if rows < 3 or cols < 3:
-        raise MapTooSmallError(
-            f"entropy map is {rows}x{cols}; second-order entropy needs at least 3x3"
-        )
+    _check_second_order(*map_.values.shape)
     quantized = quantize_map(map_)
     total = entropy2d(cooccurrence(quantized))
     return total, quantized
@@ -203,9 +210,10 @@ def init_sweep(
     """
     if not gray_levels:
         raise ValueError("gray_levels must be nonempty")
-    # every level is checked before the first visualization runs
+    # every level and the map's size are checked before the first visualization runs
     levels = sorted(check_gray_level(int(g)) for g in gray_levels)
     _, h, w = model.input_shape
+    _check_second_order(*_map_shape(h, w, window, stride))
 
     def run_level(gray) -> InitRecord:
         init = constant_image(h, w, float(gray))

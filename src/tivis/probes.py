@@ -85,16 +85,17 @@ def classify_report(
     """Top-k confidences for each image under each requested variant.
 
     ``images`` is a sequence of (image_id, buffer) pairs. The "screened"
-    variant requires screen_rect. Record order is images outer, variants
-    in the order given, so the report is a pure function of its inputs.
+    variant requires screen_rect, and screen_rect requires it. Record order
+    is images outer, variants in the order given, so the report is a pure
+    function of its inputs.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     for v in variants:
         if v not in VARIANTS:
             raise ValueError(f"unknown variant {v!r}; expected one of {VARIANTS}")
-    if "screened" in variants and screen_rect is None:
-        raise ValueError("the 'screened' variant requires screen_rect")
+    if ("screened" in variants) != (screen_rect is not None):
+        raise ValueError("screen_rect goes with the 'screened' variant: give both or neither")
     records = []
     for image_id, image in images:
         for variant in variants:

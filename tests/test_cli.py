@@ -1,5 +1,6 @@
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import write_model_file
 
-from tivis.cli import main
+from tivis.cli import _build_parser, main
 from tivis.model_io import load_model, save_model
 from tivis import nn
 from tivis.nn import MAX_SIDE, Dense, Flatten, Model
@@ -114,8 +115,10 @@ def test_baseline_battery_summary(tmp_path, confident_model_file, capsys):
         "--init", "0", "--battery", "rot-sweep:90", "--out", str(out),
     ])
     assert code == 0
-    printed = capsys.readouterr().out
-    assert "confidence" in printed and "battery_min" in printed
+    words = capsys.readouterr().out.split()
+    assert words[0::2] == ["confidence", "battery_min", "battery_mean"]
+    for value in words[1::2]:
+        assert 0.0 <= float(value) <= 1.0, words
 
 
 def test_sweep_init(tmp_path, confident_model_file):
@@ -301,6 +304,116 @@ def test_sweep_init_rejects_init(confident_model_file, capsys):
     assert "unrecognized arguments: --init 40" in capsys.readouterr().err
 
 
+def test_classify_rect_without_screened_reported(confident_model_file, sample_ppm, capsys):
+    argv = ["classify", "--model", str(confident_model_file), str(sample_ppm), "--rect", "1,1,2,2"]
+    code = main(argv)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ValueError: screen_rect ")
+
+
+# each command's argv with every required flag and nothing else; none is run
+_MINIMAL_ARGV = {
+    "make-dataset": ["--out", "ds"],
+    "train": ["--out", "m.gbxm"],
+    "classify": ["--model", "m.gbxm", "x.ppm"],
+    "visualize": ["--model", "m.gbxm", "--class", "a"],
+    "baseline": ["--model", "m.gbxm", "--class", "a"],
+    "sweep-init": ["--model", "m.gbxm", "--class", "a"],
+    "entropy": ["--image", "x.ppm"],
+    "invert": ["--image", "x.ppm", "--out", "y.ppm"],
+    "screen": ["--model", "m.gbxm", "--image", "x.ppm", "--rect", "1,1,2,2", "--out", "y.ppm"],
+}
+# the shared flags a command does not read, and the stop flag of the one-pass baseline
+_UNREAD_FLAGS = [
+    ("make-dataset", "--model"),
+    ("make-dataset", "--report"),
+    ("train", "--model"),
+    ("classify", "--seed"),
+    ("classify", "--out"),
+    ("visualize", "--seed"),
+    ("baseline", "--seed"),
+    ("baseline", "--report"),
+    ("baseline", "--q-test"),
+    ("sweep-init", "--seed"),
+    ("sweep-init", "--out"),
+    ("entropy", "--seed"),
+    ("entropy", "--model"),
+    ("entropy", "--out"),
+    ("invert", "--seed"),
+    ("invert", "--model"),
+    ("invert", "--report"),
+    ("screen", "--seed"),
+    ("screen", "--report"),
+]
+
+
+def _usage_errors():
+    for command, flag in _UNREAD_FLAGS:
+        argv = [command, *_MINIMAL_ARGV[command], flag, "1"]
+        yield pytest.param(argv, f"unrecognized arguments: {flag} 1", id=f"{command}:{flag}")
+    for command, argv in sorted(_MINIMAL_ARGV.items()):
+        for flag in ("--model", "--out"):
+            if flag in argv:
+                at = argv.index(flag)
+                message = f"the following arguments are required: {flag}"
+                yield pytest.param(
+                    [command, *argv[:at], *argv[at + 2 :]], message, id=f"{command}:no{flag}"
+                )
+    argv = ["train", "--dataset", "ds", "--count-per-class", "3", "--out", "m.gbxm"]
+    message = "argument --count-per-class: not allowed with argument --dataset"
+    yield pytest.param(argv, message, id="train:--dataset:--count-per-class")
+
+
+@pytest.mark.parametrize("command", sorted(_MINIMAL_ARGV))
+def test_minimal_argv_parses(command):
+    # so that each usage error below comes from what its case adds or takes away
+    args = _build_parser().parse_args([command, *_MINIMAL_ARGV[command]])
+    assert args.command == command
+
+
+@pytest.mark.parametrize("argv, message", _usage_errors())
+def test_usage_error_exits_two(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+_SHARED_FLAGS = ("--seed", "--model", "--out", "--report")
+
+
+def _readme_command_line():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return readme.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_examples_parse():
+    block = _readme_command_line().split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    examples = [shlex.split(line)[1:] for line in lines if line.startswith("tivis ")]
+    assert {argv[0] for argv in examples} == set(_MINIMAL_ARGV)
+    parser = _build_parser()
+    for argv in examples:
+        assert parser.parse_args(argv).command == argv[0]
+
+
+def test_readme_shared_flag_table_matches_parser():
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", _readme_command_line(), re.MULTILINE)
+    assert sorted(command for command, _ in rows) == sorted(_MINIMAL_ARGV)
+    parser = _build_parser()
+    for command, cell in rows:
+        listed = dict(re.findall(r"`(--[a-z]+)`(\\\*)?", cell))
+        minimal = [command, *_MINIMAL_ARGV[command]]
+        for flag in _SHARED_FLAGS:
+            # starred exactly when the minimal argv gives it
+            assert (flag in minimal) == bool(listed.get(flag)), (command, flag)
+            if flag in listed:
+                parser.parse_args(minimal + [flag, "1"])
+            else:
+                with pytest.raises(SystemExit):
+                    parser.parse_args(minimal + [flag, "1"])
+
+
 OVERSIZED_MODELS = {
     # 1x1 conv on a 4x4 input padded to 200004x200004
     "conv pad": ("4 4", "pad=100000", "layer 0 (conv2d): conv2d padded input 200004x200004"),
@@ -365,23 +478,28 @@ _EDGE_TOKENS = ("0", "-1", "nan", "inf", "1e308", str(2**63), "", "junk")
 # the flags that set how much work a call does: always given, and small
 _COUNT_FLAGS = ("--max-inner", "--max-outer", "--epochs", "--count-per-class")
 _COUNT_EDGE_TOKENS = ("0", "-1", "nan", "", "junk")
-_ALWAYS_GIVEN = _COUNT_FLAGS + ("--class", "--image")
+# required flags are always given too, so that most calls get past argparse
+_ALWAYS_GIVEN = _COUNT_FLAGS + ("--class", "--image", "--model", "--out")
 _VISUALIZE_FLAGS = (
-    "--class", "--q-target", "--q-test", "--step-size", "--max-inner", "--gradient", "--objective"
+    "--model", "--class", "--q-target", "--step-size", "--max-inner", "--gradient", "--objective"
 )
+_RUN_FLAGS = ("--schedule", "--battery", "--q-test", "--max-outer")
 _SUBCOMMAND_FLAGS = {
-    "make-dataset": ("--count-per-class",),
-    "train": ("--dataset", "--count-per-class", "--epochs", "--lr", "--batch-size", "--val-split"),
-    "classify": ("-k", "--variants", "--rect"),
-    "visualize": _VISUALIZE_FLAGS + ("--init", "--schedule", "--battery", "--max-outer"),
-    "baseline": _VISUALIZE_FLAGS + ("--init", "--battery"),
-    "sweep-init": _VISUALIZE_FLAGS
-    + ("--schedule", "--battery", "--max-outer", "--grays", "--window", "--stride"),
-    "entropy": ("--image", "--window", "--stride", "--map-out"),
-    "invert": ("--image",),
-    "screen": ("--image", "--rect"),
+    "make-dataset": ("--seed", "--out", "--count-per-class"),
+    "train": (
+        "--seed", "--out", "--report", "--dataset", "--count-per-class",
+        "--epochs", "--lr", "--batch-size", "--val-split",
+    ),
+    "classify": ("--model", "--report", "-k", "--variants", "--rect"),
+    "visualize": ("--out", "--report") + _VISUALIZE_FLAGS + _RUN_FLAGS + ("--init",),
+    "baseline": ("--out",) + _VISUALIZE_FLAGS + ("--init", "--battery"),
+    "sweep-init": (
+        ("--report",) + _VISUALIZE_FLAGS + _RUN_FLAGS + ("--grays", "--window", "--stride")
+    ),
+    "entropy": ("--report", "--image", "--window", "--stride", "--map-out"),
+    "invert": ("--out", "--image"),
+    "screen": ("--model", "--out", "--image", "--rect"),
 }
-_COMMON_FLAGS = ("--seed", "--model", "--out", "--report")
 _VALID_TOKENS = {
     "--seed": ("0", "7"),
     "--out": ("out.ppm",),
@@ -430,11 +548,13 @@ def test_any_argv_exits_cleanly(
         "--init": ("40", str(sample_ppm)),
     }
     argv = [command]
-    for flag in _SUBCOMMAND_FLAGS[command] + _COMMON_FLAGS:
+    for flag in _SUBCOMMAND_FLAGS[command]:
         # most flags are valid, so that most calls get past argparse
         kind = data.draw(st.sampled_from(("valid",) * 4 + ("edge", "absent")))
         if kind == "absent" and flag not in _ALWAYS_GIVEN:
             continue
+        if flag == "--count-per-class" and "--dataset" in argv:
+            continue  # a usage error: the dataset sets the count
         if kind == "edge":
             pool = (_COUNT_EDGE_TOKENS if flag in _COUNT_FLAGS else _EDGE_TOKENS) + (missing,)
         else:

@@ -320,6 +320,30 @@ class TestInitSweep:
         with pytest.raises(ValueError, match=rf"must be in \[0, 255\], got {bad}"):
             E.init_sweep(model, 0, schedule, config, stop, gray_levels=(0, 128, bad))
 
+    @pytest.mark.parametrize(
+        "window, stride, error, message",
+        [
+            (1, 16, ValueError, "window must be at least 3, got 1"),
+            (65, 16, ValueError, "window 65 exceeds image size 64x64"),
+            (32, 0, ValueError, "stride must be >= 1, got 0"),
+            (48, 16, E.MapTooSmallError, "entropy map is 2x2"),
+        ],
+    )
+    def test_bad_map_settings_rejected_before_any_run(
+        self, monkeypatch, window, stride, error, message
+    ):
+        model, schedule, config, stop = self._setup()
+        import tivis.visualizer as viz
+
+        def never(*args):
+            raise AssertionError("visualize ran before the entropy settings were checked")
+
+        monkeypatch.setattr(viz, "visualize", never)
+        with pytest.raises(error, match=message):
+            E.init_sweep(
+                model, 0, schedule, config, stop, gray_levels=(0, 128), window=window, stride=stride
+            )
+
     def test_default_gray_levels_match_contract(self):
         assert len(E.DEFAULT_GRAY_LEVELS) == 27
         assert E.DEFAULT_GRAY_LEVELS[0] == 0

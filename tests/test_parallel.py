@@ -102,7 +102,8 @@ def test_caller_pin_leaves_a_user_setting_alone(monkeypatch, tmp_path, env, call
     assert recorded == calls
     # the CLI applies it once per command, before the command runs
     recorded.clear()
-    assert cli.main(["invert", "--image", str(tmp_path / "missing.ppm")]) == 1
+    argv = ["invert", "--image", str(tmp_path / "missing.ppm"), "--out", str(tmp_path / "x.ppm")]
+    assert cli.main(argv) == 1
     assert recorded == calls
 
 

@@ -108,6 +108,14 @@ class TestClassifyReport:
         with pytest.raises(ValueError, match="screen_rect"):
             classify_report(model, [("a", np.zeros((8, 8, 3)))], variants=("screened",))
 
+    def test_rect_requires_screened(self):
+        model = _model()
+        with pytest.raises(ValueError, match="screen_rect"):
+            classify_report(
+                model, [("a", np.zeros((8, 8, 3)))], variants=("original",),
+                screen_rect=ScreenRect(1, 1, 2, 2),
+            )
+
     def test_unknown_variant_rejected(self):
         model = _model()
         with pytest.raises(ValueError, match="variant"):
