@@ -114,7 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write a structured text report here")
     _add_visualize_args(p)
     _add_run_args(p)
-    p.add_argument("--grays", help="comma list of gray levels (default: 0,10,...,250,255)")
+    grays = ",".join(str(gray) for gray in entropy_mod.DEFAULT_GRAY_LEVELS)
+    p.add_argument("--grays", default=grays, help="comma list of gray levels (default: 0,10,...,250,255)")
     p.add_argument("--window", type=int, default=entropy_mod.DEFAULT_WINDOW)
     p.add_argument("--stride", type=int, default=entropy_mod.DEFAULT_STRIDE)
     p.set_defaults(func=_cmd_sweep_init)
@@ -195,7 +196,7 @@ def _optim_config(args) -> OptimConfig:
 
 
 def _write_report(args, text: str) -> None:
-    if args.report:
+    if args.report is not None:
         with open(args.report, "w", encoding="utf-8") as f:
             f.write(text)
     else:
@@ -210,7 +211,7 @@ def _cmd_make_dataset(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    if args.dataset:
+    if args.dataset is not None:
         dataset = load_dataset(args.dataset)
     else:
         dataset = generate_dataset(args.seed, args.count_per_class)
@@ -231,7 +232,7 @@ def _cmd_train(args) -> int:
     result = train(dataset, arch, config)
     save_model(result.model, args.out)
     val_acc = evaluate(result.model, validation_split(dataset, config))
-    if args.report:
+    if args.report is not None:
         _write_report(args, reports.train_report(result.history, val_acc))
     print(f"wrote model to {args.out} (val accuracy {val_acc:.4f})")
     return 0
@@ -240,7 +241,7 @@ def _cmd_train(args) -> int:
 def _cmd_classify(args) -> int:
     model = load_model(args.model)
     variants = tuple(v.strip() for v in args.variants.split(",") if v.strip())
-    rect = _parse_rect(args.rect) if args.rect else None
+    rect = None if args.rect is None else _parse_rect(args.rect)
     images = [(path, read_ppm(path)) for path in args.images]
     report = classify_report(model, images, k=args.k, variants=variants, screen_rect=rect)
     _write_report(args, reports.class_report(report))
@@ -265,7 +266,7 @@ def _cmd_visualize(args) -> int:
     model, target, schedule, config, stop = _run_setup(args)
     init = _load_init(model, args.init)
     image, trace = visualize(model, target, init, schedule, config, stop)
-    if args.out:
+    if args.out is not None:
         write_ppm(image, args.out)
     text = reports.run_report(
         trace,
@@ -288,11 +289,11 @@ def _cmd_baseline(args) -> int:
     init = _load_init(model, args.init)
     config = _optim_config(args)
     image = baseline_visualize(model, target, init, config)
-    if args.out:
+    if args.out is not None:
         write_ppm(image, args.out)
     pred = forward(model, image)
     print(f"confidence {float(pred.confidences[target])!r}")
-    if args.battery:
+    if args.battery is not None:
         battery = parse_transform_list(args.battery)
         results = run_battery(model, image, target, battery)
         confs = np.array([c for _, c in results])
@@ -302,10 +303,7 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_sweep_init(args) -> int:
     model, target, schedule, config, stop = _run_setup(args)
-    if args.grays:
-        gray_levels = tuple(int(g) for g in args.grays.split(","))
-    else:
-        gray_levels = entropy_mod.DEFAULT_GRAY_LEVELS
+    gray_levels = tuple(int(g) for g in args.grays.split(","))
     report = entropy_mod.init_sweep(
         model,
         target,
@@ -336,7 +334,7 @@ def _cmd_entropy(args) -> int:
     except entropy_mod.MapTooSmallError as exc:
         total, quantized = None, entropy_mod.quantize_map(emap)
         note = f"second-order entropy unavailable: {exc}"
-    if args.map_out:
+    if args.map_out is not None:
         rgb = np.repeat(quantized[:, :, None].astype(np.float64), 3, axis=2)
         write_ppm(rgb, args.map_out)
     _write_report(args, reports.entropy_report(args.image, whole, emap, total, note))

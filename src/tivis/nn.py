@@ -126,8 +126,8 @@ def _normalize(pixel_norm: str, x: np.ndarray) -> np.ndarray:
 #   backward(dy, cache, param_grads=True) -> (dx, grads)
 #                         grads is (dW, db) for layers with parameters when
 #                         param_grads is true, None otherwise
-# MaxPool2x2 also implements maximum(x) -> y, forward's output without the
-# winners its cache holds, which forward-only passes run instead of forward.
+# MaxPool2x2 and ReluMaxPool2x2, plan's one step for a Relu then a MaxPool2x2,
+# also implement maximum(x) -> y, forward's output without the cached winners.
 # Layers with parameters also implement weight_grads(dy, cache) -> (dW, db);
 # Conv2d's are per-sample stacks, whose sums over axis 0 in batch order are
 # the batch's, so a batch split into shards sums to the same bits.
@@ -272,17 +272,6 @@ class MaxPool2x2:
         idx += n2.view(np.uint8)
         return y, (x.shape, idx)
 
-    def forward_relu(self, x):
-        """Relu.forward then forward, with the bits of that pair: relu(max) is
-        max(relu), and a window with no positive element gets +0.0 from
-        maximum(., 0.0) and winner 0, where the pair's tie of zeros puts it."""
-        m, (xshape, idx) = self.forward(x)
-        mask = m > 0
-        return np.maximum(m, 0.0), (xshape, idx * mask, mask)
-
-    def backward_relu(self, dy, cache, param_grads=True):
-        return self.backward(dy * cache[2], cache[:2])
-
     def backward(self, dy, cache, param_grads=True):
         xshape, idx = cache
         # the four quadrant writes cover an even input whole
@@ -293,6 +282,27 @@ class MaxPool2x2:
         for k, quadrant in enumerate(_quadrants(dx.view(np.int64))):
             np.multiply(bits, (idx == k).view(np.uint8), out=quadrant)
         return dx, None
+
+
+@dataclass
+class ReluMaxPool2x2:
+    """A Relu and then pool as one plan step, with that pair's bits: relu(max)
+    is max(relu), and a window with no positive element gets +0.0 from
+    maximum(., 0.0) and winner 0, where the pair's tie of zeros puts it."""
+
+    pool: MaxPool2x2
+    kind: str = field(default="relu+maxpool2x2", init=False, repr=False)
+
+    def maximum(self, x):
+        return np.maximum(self.pool.maximum(x), 0.0)
+
+    def forward(self, x):
+        m, (xshape, idx) = self.pool.forward(x)
+        mask = m > 0
+        return np.maximum(m, 0.0), (xshape, idx * mask, mask)
+
+    def backward(self, dy, cache, param_grads=True):
+        return self.pool.backward(dy * cache[2], cache[:2])
 
 
 def _quadrants(x):
@@ -454,62 +464,57 @@ def check_input(model: Model, image: np.ndarray) -> np.ndarray:
     return image
 
 
-def forward_batch(model: Model, xnorm: np.ndarray, keep_caches: bool = True, start: int = 0):
-    """Run normalized (N, 3, H, W) input through the layers, or, from layer
-    start on, the input of that layer.
-
-    A ReLU followed by a MaxPool2x2 runs as one fused step of the pool.
-    Returns (logits, caches), one (layer, backward, cache) per step. Without
-    keep_caches, a pool step, fused or not, takes only the pooled maximum
-    and skips the winners that only a backward pass reads.
-    """
-    x, caches, layers = xnorm, [], model.layers
-    i = start
-    while i < len(layers):
-        layer = layers[i]
-        fused = layer.kind == "relu" and i + 1 < len(layers) and layers[i + 1].kind == "maxpool2x2"
-        if fused:
-            i += 1
-            layer = layers[i]
-        if layer.kind == "maxpool2x2" and not keep_caches:
-            x = layer.maximum(x)
-            if fused:
-                x = np.maximum(x, 0.0)
-        elif fused:
-            x, cache = layer.forward_relu(x)
-            backward = layer.backward_relu
+def plan(model: Model) -> list:
+    """model's layers as the (layer index, step) pairs a pass runs: a Relu
+    followed by a MaxPool2x2 is one ReluMaxPool2x2 step at the pool's index.
+    A plan does not follow a later change to model.layers: build one per pass."""
+    steps = []
+    for i, layer in enumerate(model.layers):
+        if layer.kind == "maxpool2x2" and steps and steps[-1][1].kind == "relu":
+            steps[-1] = (i, ReluMaxPool2x2(layer))
         else:
-            x, cache = layer.forward(x)
-            backward = layer.backward
-            if layer.kind in _UNBOUNDED_KINDS and not np.all(np.isfinite(x)):
-                raise NonFiniteError(f"layer {i} ({layer.kind}) produced non-finite values")
+            steps.append((i, layer))
+    return steps
+
+
+def forward_batch(steps: list, x: np.ndarray, keep_caches: bool = True):
+    """Run x through steps, a plan or a slice of one: (output, caches), one
+    (step, cache) per step. Without keep_caches, a step with a maximum runs it
+    instead of forward, skipping the winners that only a backward pass reads."""
+    caches = []
+    for i, step in steps:
         if keep_caches:
-            caches.append((layer, backward, cache))
-        i += 1
+            x, cache = step.forward(x)
+            caches.append((step, cache))
+        elif hasattr(step, "maximum"):
+            x = step.maximum(x)
+        else:
+            x, _ = step.forward(x)
+        if step.kind in _UNBOUNDED_KINDS and not np.all(np.isfinite(x)):
+            raise NonFiniteError(f"layer {i} ({step.kind}) produced non-finite values")
     return x, caches
 
 
 def backward_batch(caches: list, d: np.ndarray, param_grads: bool = False):
-    """Back-propagate d, the gradient at the logits, through forward_batch's caches.
+    """Back-propagate d, the gradient at the output, through forward_batch's caches.
 
     Returns (dx, grads): the input gradient and []; or, with param_grads,
     None and the (layer, layer.weight_grads) of each layer with parameters,
     top first, without computing the first step's input gradient.
     """
     grads = []
-    for k in range(len(caches) - 1, -1, -1):
-        layer, backward, cache = caches[k]
-        if param_grads and hasattr(layer, "weight_grads"):
-            grads.append((layer, layer.weight_grads(d, cache)))
+    for k, (step, cache) in reversed(list(enumerate(caches))):
+        if param_grads and hasattr(step, "weight_grads"):
+            grads.append((step, step.weight_grads(d, cache)))
         if param_grads and k == 0:
             return None, grads
-        d, _ = backward(d, cache, param_grads=False)
+        d, _ = step.backward(d, cache, param_grads=False)
     return d, grads
 
 
 def _logits(model: Model, image: np.ndarray) -> np.ndarray:
     xnorm = normalize_images(model.pixel_norm, image[None])
-    return forward_batch(model, xnorm, keep_caches=False)[0][0]
+    return forward_batch(plan(model), xnorm, keep_caches=False)[0][0]
 
 
 def forward(model: Model, image: np.ndarray) -> Prediction:
@@ -530,7 +535,7 @@ def confidence(model: Model, image: np.ndarray, target: int) -> float:
 def gradient_step(model: Model, x: np.ndarray, target: int, objective: str):
     """(confidence, input gradient) at a (3, H, W) display-unit image x;
     unchecked, like confidence."""
-    logits, caches = forward_batch(model, _normalize(model.pixel_norm, x)[None])
+    logits, caches = forward_batch(plan(model), _normalize(model.pixel_norm, x)[None])
     conf = softmax(logits[0])
     dlogits = np.zeros_like(logits)
     if objective == "softmax_confidence":

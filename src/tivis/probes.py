@@ -91,6 +91,8 @@ def classify_report(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if not variants:
+        raise ValueError(f"variants must name at least one of {VARIANTS}")
     for v in variants:
         if v not in VARIANTS:
             raise ValueError(f"unknown variant {v!r}; expected one of {VARIANTS}")

@@ -5,13 +5,14 @@ per-epoch shuffle each use their own stream derived from the config seed,
 and the updates run in sequence. Identical (seed, config) pairs produce
 bit-identical final weights.
 
-Each batch's trunk, the layers before the first Dense, runs as two shards on
-two ``parallel.Helper`` processes, and the head at full batch in the caller;
-``evaluate`` splits its forwards the same way. The trunk computes each sample
-on its own, with the same bits at any batch size, and a shard returns
-per-sample weight gradients that the caller sums in batch order, so the bits
-do not depend on the split, nor on whether the helpers run in-process.
-``Dense``'s ``x @ W.T`` is not batch-invariant, so the head is never split.
+The trunk and the head are two slices of the model's ``nn.plan``, cut at the
+first Dense. Each batch's trunk runs as two shards on two ``parallel.Helper``
+processes, and the head at full batch in the caller; ``evaluate`` splits its
+forwards the same way. The trunk computes each sample on its own, with the
+same bits at any batch size, and a shard returns per-sample weight gradients
+that the caller sums in batch order, so the bits do not depend on the split,
+nor on whether the helpers run in-process. ``Dense``'s ``x @ W.T`` is not
+batch-invariant, so the head is never split.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ from __future__ import annotations
 import contextlib
 import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteError, ShapeMismatchError, TrainingDivergedError
 from .nn import Conv2d, Dense, Flatten, MaxPool2x2, Model, Relu
-from .nn import backward_batch, forward_batch, normalize_images, softmax
+from .nn import backward_batch, forward_batch, normalize_images, plan, softmax
 from .parallel import Helper
 from .rng import Xoshiro256, derive_seed
 from .shapes import CLASS_NAMES, ShapeDataset
@@ -158,9 +159,9 @@ def train(dataset: ShapeDataset, model: Model, config: TrainConfig) -> TrainResu
     return TrainResult(model=model, history=history)
 
 
-class _ShardedModel:
-    """The model with each batch's trunk, its layers before the first Dense,
-    split over two helpers, which have exited when the with block ends.
+class _ShardedModel(contextlib.ExitStack):
+    """The model's plan with each batch's trunk split over two helpers, which
+    fork when it is made and have exited when its with block ends.
 
     forward(rows) gives (logits, the head's caches) for xnorm[rows], and
     backward(caches, d) each layer's (layer, (dW, db)), top first, for the
@@ -168,27 +169,20 @@ class _ShardedModel:
     """
 
     def __init__(self, model: Model, xnorm: np.ndarray):
-        kinds = [layer.kind for layer in model.layers]
-        self._cut = kinds.index("dense") if "dense" in kinds else len(kinds)
-        self._model = model
-        trunk = replace(model, layers=model.layers[: self._cut])
-        self._params = [layer for layer in trunk.layers if hasattr(layer, "weight_grads")]
-        self._helpers = [Helper(_shard(trunk, self._params, xnorm)) for _ in range(2)]
-        self._stack = contextlib.ExitStack()
-
-    def __enter__(self):
+        super().__init__()
+        steps = plan(model)
+        cut = next((k for k, (_, step) in enumerate(steps) if step.kind == "dense"), len(steps))
+        trunk, self._head = steps[:cut], steps[cut:]
+        self._params = [step for _, step in trunk if hasattr(step, "weight_grads")]
         # the helpers fork here, inheriting xnorm; the stack exits them in reverse order
-        for helper in self._helpers:
-            self._stack.enter_context(helper)
-        return self
-
-    def __exit__(self, *exc_info):
-        return self._stack.__exit__(*exc_info)
+        self._helpers = [
+            self.enter_context(Helper(_shard(trunk, self._params, xnorm))) for _ in range(2)
+        ]
 
     def forward(self, rows: np.ndarray, keep_caches: bool = True):
         params = [(layer.weight, layer.bias) for layer in self._params]
         x = np.concatenate(self._map([(half, params, keep_caches) for half in _halves(rows)]))
-        return forward_batch(self._model, x, keep_caches, start=self._cut)
+        return forward_batch(self._head, x, keep_caches)
 
     def backward(self, caches: list, d: np.ndarray) -> list:
         # the head's weight gradients, then the input gradient backward_batch
@@ -214,8 +208,8 @@ def _halves(a: np.ndarray) -> list:
     return np.array_split(a, min(len(a), 2))
 
 
-def _shard(trunk: Model, layers: list, xnorm: np.ndarray):
-    """One helper's share of the trunk: a job (rows, params, keep_caches)
+def _shard(trunk: list, layers: list, xnorm: np.ndarray):
+    """One helper's share of the trunk steps: a job (rows, params, keep_caches)
     gives the layers with parameters their weights and biases and runs the
     rows forward, keeping the caches; the gradient at the output of those
     rows then runs them back and gives each layer's per-sample (dW, db),

@@ -311,6 +311,31 @@ def test_classify_rect_without_screened_reported(confident_model_file, sample_pp
     assert capsys.readouterr().err.startswith("error: ValueError: screen_rect ")
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["sweep-init", "--grays", "", "--max-inner", "1", "--max-outer", "1"],
+         "ValueError: invalid literal for int() with base 10: ''"),
+        (["baseline", "--battery", ""], "ValueError: no transforms found in ''"),
+        (["visualize", "--out", "", "--max-inner", "1", "--max-outer", "1"],
+         "FileNotFoundError: [Errno 2] No such file or directory: ''"),
+        (["baseline", "--out", ""], "FileNotFoundError: [Errno 2] No such file or directory: ''"),
+    ],
+    ids=["sweep-init-grays", "baseline-battery", "visualize-out", "baseline-out"],
+)
+def test_empty_flag_value_is_an_error(confident_model_file, capsys, argv, error):
+    # an empty value is a value: it never falls back to the flag's absent behaviour
+    code = main(argv[:1] + ["--model", str(confident_model_file), "--class", "beta"] + argv[1:])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_classify_empty_variants_reported(confident_model_file, sample_ppm, capsys):
+    code = main(["classify", "--model", str(confident_model_file), str(sample_ppm), "--variants", ","])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ValueError: variants must name at least one")
+
+
 # each command's argv with every required flag and nothing else; none is run
 _MINIMAL_ARGV = {
     "make-dataset": ["--out", "ds"],
@@ -474,7 +499,7 @@ def test_overflow_is_one_error_line(tmp_path, command):
     assert proc.stderr == "error: NonFiniteError: layer 0 (conv2d) produced non-finite values\n"
 
 
-_EDGE_TOKENS = ("0", "-1", "nan", "inf", "1e308", str(2**63), "", "junk")
+_EDGE_TOKENS = ("0", "-1", "nan", "inf", "1e308", str(2**63), "", ",", "junk")
 # the flags that set how much work a call does: always given, and small
 _COUNT_FLAGS = ("--max-inner", "--max-outer", "--epochs", "--count-per-class")
 _COUNT_EDGE_TOKENS = ("0", "-1", "nan", "", "junk")

@@ -172,16 +172,39 @@ class TestMaxPool:
 
     def test_fused_relu_pool_equals_relu_then_pool(self):
         relu, pool = nn.Relu(), nn.MaxPool2x2()
+        step = nn.ReluMaxPool2x2(pool)
         for x, dy in _pool_cases():
             r, mask = relu.forward(x)
             want_y, cache = pool.forward(r)
             want_dx, _ = relu.backward(pool.backward(dy, cache)[0], mask)
-            y, fused = pool.forward_relu(x)
-            dx, grads = pool.backward_relu(dy, fused)
+            y, fused = step.forward(x)
+            dx, grads = step.backward(dy, fused)
             assert grads is None
             _assert_same_bytes(y, want_y)
+            _assert_same_bytes(step.maximum(x), want_y)
             _assert_same_bytes(fused[1], cache[1])
             _assert_same_bytes(dx, want_dx)
+
+
+class TestPlan:
+    """plan fuses each Relu that a MaxPool2x2 follows, at the pool's index."""
+
+    def test_reference_plan_fuses_both_relu_pool_pairs(self):
+        model = reference_architecture(7)
+        steps = nn.plan(model)
+        assert [i for i, _ in steps] == [0, 2, 3, 5, 6, 7, 8]
+        for i, step in steps:
+            if i in (2, 5):
+                assert isinstance(step, nn.ReluMaxPool2x2) and step.pool is model.layers[i]
+            else:
+                assert step is model.layers[i]
+
+    @pytest.mark.parametrize("kinds", [("maxpool2x2", "relu"), ("maxpool2x2",), ("relu",)])
+    def test_pool_then_relu_and_lone_layers_stay_unfused(self, kinds):
+        layers = [nn.Relu() if kind == "relu" else nn.MaxPool2x2() for kind in kinds]
+        steps = nn.plan(nn.Model(layers, (3, 8, 8), ()))
+        assert [i for i, _ in steps] == list(range(len(layers)))
+        assert all(step is layer for (_, step), layer in zip(steps, layers))
 
 
 class TestForwardOnly:
@@ -217,7 +240,7 @@ class TestForwardOnly:
         """forward_batch's output after each layer of model."""
         prefixes = (nn.Model(model.layers[:k], model.input_shape, model.class_names)
                     for k in range(1, len(model.layers) + 1))
-        return [nn.forward_batch(prefix, x, keep_caches)[0] for prefix in prefixes]
+        return [nn.forward_batch(nn.plan(prefix), x, keep_caches)[0] for prefix in prefixes]
 
     def test_every_output_equals_the_cached_pass(self):
         kinds = set()
@@ -227,18 +250,18 @@ class TestForwardOnly:
             images = np.random.default_rng(k).uniform(0, 255, (3, h, w, 3))
             images[:, : h // 2] = 0.0  # ties in the pool windows
             x = nn.normalize_images(model.pixel_norm, images)
-            _, caches = nn.forward_batch(model, x)
-            assert caches and nn.forward_batch(model, x, keep_caches=False)[1] == []
+            _, caches = nn.forward_batch(nn.plan(model), x)
+            assert caches and nn.forward_batch(nn.plan(model), x, keep_caches=False)[1] == []
             for fast, cached in zip(self._step_outputs(model, x, False), self._step_outputs(model, x, True)):
                 _assert_same_bytes(fast, cached)
         assert {"maxpool2x2", "avgpool_global", "relu"} <= kinds
 
     def test_pool_steps_keep_signed_zeros(self):
         for layers in ([nn.Relu(), nn.MaxPool2x2()], [nn.MaxPool2x2(), nn.Relu()], [nn.MaxPool2x2()]):
-            model = nn.Model(layers, (3, 8, 8), ())
+            steps = nn.plan(nn.Model(layers, (3, 8, 8), ()))
             for x, _ in _pool_cases():
-                _assert_same_bytes(nn.forward_batch(model, x, keep_caches=False)[0],
-                                   nn.forward_batch(model, x)[0])
+                _assert_same_bytes(nn.forward_batch(steps, x, keep_caches=False)[0],
+                                   nn.forward_batch(steps, x)[0])
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("layer, kind", [(0, "conv2d"), (4, "dense")])
@@ -248,7 +271,7 @@ class TestForwardOnly:
         x = nn.normalize_images(model.pixel_norm, np.full((1, 9, 9, 3), 255.0))
         for keep_caches in (True, False):
             with pytest.raises(NonFiniteError, match=rf"^layer {layer} \({kind}\) produced"):
-                nn.forward_batch(model, x, keep_caches=keep_caches)
+                nn.forward_batch(nn.plan(model), x, keep_caches=keep_caches)
 
 
 class TestNonFiniteChecks:
@@ -348,11 +371,11 @@ class TestBackward:
         for seed in range(6):
             model, img = random_small_model(200 + seed)
             x = nn.normalize_images(model.pixel_norm, np.stack([img, img[::-1], img[:, ::-1]]))
-            logits, caches = nn.forward_batch(model, x)
+            logits, caches = nn.forward_batch(nn.plan(model), x)
             d_full = d_only = rng.normal(size=logits.shape)
-            for layer, backward, cache in reversed(caches):
-                d_full, grads = backward(d_full, cache)
-                d_only, no_grads = backward(d_only, cache, param_grads=False)
+            for layer, cache in reversed(caches):
+                d_full, grads = layer.backward(d_full, cache)
+                d_only, no_grads = layer.backward(d_only, cache, param_grads=False)
                 assert no_grads is None
                 assert (grads is None) == (layer.kind not in ("conv2d", "dense"))
                 _assert_same_bytes(d_only, d_full)
@@ -362,13 +385,13 @@ class TestBackward:
         for seed in range(6):
             model, img = random_small_model(300 + seed)
             x = nn.normalize_images(model.pixel_norm, np.stack([img, img[::-1]]))
-            logits, caches = nn.forward_batch(model, x)
+            logits, caches = nn.forward_batch(nn.plan(model), x)
             d = rng.normal(size=logits.shape)
             dx, grads = nn.backward_batch(caches, d, param_grads=True)
             assert dx is None
             want = []
-            for layer, backward, cache in reversed(caches):
-                d, step_grads = backward(d, cache)
+            for layer, cache in reversed(caches):
+                d, step_grads = layer.backward(d, cache)
                 if step_grads is not None:
                     want.append((layer, step_grads))
             assert [layer for layer, _ in grads] == [layer for layer, _ in want]

@@ -121,6 +121,10 @@ class TestClassifyReport:
         with pytest.raises(ValueError, match="variant"):
             classify_report(model, [], variants=("upside_down",))
 
+    def test_empty_variants_rejected(self):
+        with pytest.raises(ValueError, match="^variants must name at least one of"):
+            classify_report(_model(), [("a", np.zeros((8, 8, 3)))], variants=())
+
     @pytest.mark.slow
     def test_reference_model_recognizes_fresh_disk(self, reference_model):
         disk_class = CLASS_NAMES.index("disk")

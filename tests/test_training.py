@@ -11,7 +11,7 @@ from helpers import clear_blas_thread_vars
 from tivis import parallel, training
 from tivis.errors import TrainingDivergedError
 from tivis.model_io import save_model
-from tivis.nn import forward_batch, normalize_images
+from tivis.nn import forward_batch, normalize_images, plan
 from tivis.shapes import ShapeDataset, generate_dataset
 from tivis.training import (
     _EVAL_CHUNK,
@@ -70,7 +70,7 @@ def test_initial_cross_entropy_is_ln6():
     ds = _small_dataset(seed=4, per_class=6)
     model = reference_architecture(4)
     xnorm = normalize_images(model.pixel_norm, ds.images)
-    logits, _ = forward_batch(model, xnorm, keep_caches=False)
+    logits, _ = forward_batch(plan(model), xnorm, keep_caches=False)
     loss, _ = _cross_entropy_and_dlogits(logits, ds.labels)
     assert abs(loss - math.log(6)) <= 0.05
     assert abs(loss - math.log(6)) <= 1e-12  # zero head makes it exact
@@ -204,6 +204,23 @@ class TestTrunkOnHelpers:
 
         alone, forked = (self._run(monkeypatch, shard_pids, cpus, run) for cpus in (1, 2))
         assert alone == forked
+
+    def test_head_overflow_names_the_dense_layer(self, monkeypatch, shard_pids):
+        # the head is the plan's slice from the Dense on, so its error names
+        # the model's layer index, not the slice's
+        ds = _small_dataset(seed=8, per_class=4)
+        model = reference_architecture(8)
+        model.layers[8].weight[:] = 1e308
+
+        def run():
+            with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError) as err:
+                train(ds, model, TrainConfig(epochs=1, batch_size=8, seed=8))
+            return err.value
+
+        for cpus in (1, 2):
+            diverged = self._run(monkeypatch, shard_pids, cpus, run)
+            assert diverged.epoch == 0
+            assert str(diverged.__cause__) == "layer 8 (dense) produced non-finite values"
 
 
 @pytest.mark.slow
