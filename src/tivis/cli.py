@@ -2,14 +2,17 @@
 
 One command per process. Exit code 0 on success; on failure a single
 machine-readable line "error: <ErrorType>: <message>" goes to stderr and
-the exit code is 1. Each subcommand declares only the flags it reads: an
-unknown flag, a missing required one, or `train --dataset` together with
-`--count-per-class` is an argparse usage error, with its conventional 2.
+the exit code is 1, before any work when a file output cannot be written.
+Each subcommand declares only the flags it reads: an unknown flag, a missing
+required one, or `train --dataset` together with `--count-per-class` is an
+argparse usage error, with its conventional 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 import numpy as np
@@ -48,6 +51,7 @@ def main(argv=None) -> int:
     # second BLAS thread, which would only take the helpers' CPU
     parallel.pin_blas_threads()
     try:
+        _check_outputs(args)
         # an overflow is reported once, as the NonFiniteError it leads to,
         # not also as numpy's warning; no result depends on the error state
         with np.errstate(over="ignore", invalid="ignore"):
@@ -55,6 +59,21 @@ def main(argv=None) -> int:
     except (TivisError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+
+
+def _check_outputs(args) -> None:
+    """Fail before any work on a file output that cannot be written: one
+    whose directory is missing, or that names a directory. make-dataset's
+    --out is a directory it makes."""
+    if args.command == "make-dataset":
+        return
+    for path in (getattr(args, flag, None) for flag in ("out", "report", "map_out")):
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not path or not os.path.isdir(os.path.dirname(path) or os.curdir):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -12,7 +12,9 @@ forwards the same way. The trunk computes each sample on its own, with the
 same bits at any batch size, and a shard returns per-sample weight gradients
 that the caller sums in batch order, so the bits do not depend on the split,
 nor on whether the helpers run in-process. ``Dense``'s ``x @ W.T`` is not
-batch-invariant, so the head is never split.
+batch-invariant, so the head is never split. The helpers inherit the
+dataset's display-unit images, and each shard job normalizes only its own
+rows, so no normalized copy of the whole dataset is ever made.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ def train(dataset: ShapeDataset, model: Model, config: TrainConfig) -> TrainResu
     """SGD with a fixed learning rate; returns the trained model and log."""
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    xnorm = _model_inputs(model, dataset)
+    _check_inputs(model, dataset)
     labels = dataset.labels
     if labels.min() < 0 or labels.max() >= model.num_classes:
         raise ValueError(f"dataset labels must lie in [0, {model.num_classes})")
@@ -135,7 +137,7 @@ def train(dataset: ShapeDataset, model: Model, config: TrainConfig) -> TrainResu
     val_idx, train_idx = _split_indices(len(dataset), config)
 
     history = []
-    with _ShardedModel(model, xnorm) as net:
+    with _ShardedModel(model, dataset.images) as net:
         for epoch in range(config.epochs):
             perm = list(train_idx)
             Xoshiro256(derive_seed(config.seed, _STREAM_SHUFFLE, epoch)).shuffle(perm)
@@ -163,20 +165,23 @@ class _ShardedModel(contextlib.ExitStack):
     """The model's plan with each batch's trunk split over two helpers, which
     fork when it is made and have exited when its with block ends.
 
-    forward(rows) gives (logits, the head's caches) for xnorm[rows], and
+    forward(rows) gives (logits, the head's caches) for images[rows], which
+    each shard normalizes for the model, and
     backward(caches, d) each layer's (layer, (dW, db)), top first, for the
     gradient d at those logits.
     """
 
-    def __init__(self, model: Model, xnorm: np.ndarray):
+    def __init__(self, model: Model, images: np.ndarray):
         super().__init__()
         steps = plan(model)
         cut = next((k for k, (_, step) in enumerate(steps) if step.kind == "dense"), len(steps))
         trunk, self._head = steps[:cut], steps[cut:]
         self._params = [step for _, step in trunk if hasattr(step, "weight_grads")]
-        # the helpers fork here, inheriting xnorm; the stack exits them in reverse order
+        # the helpers fork here, inheriting images, each shard with its own
+        # caches; the stack exits them in reverse order
         self._helpers = [
-            self.enter_context(Helper(_shard(trunk, self._params, xnorm))) for _ in range(2)
+            self.enter_context(Helper(_shard(trunk, self._params, model.pixel_norm, images)))
+            for _ in range(2)
         ]
 
     def forward(self, rows: np.ndarray, keep_caches: bool = True):
@@ -208,12 +213,13 @@ def _halves(a: np.ndarray) -> list:
     return np.array_split(a, min(len(a), 2))
 
 
-def _shard(trunk: list, layers: list, xnorm: np.ndarray):
+def _shard(trunk: list, layers: list, pixel_norm: str, images: np.ndarray):
     """One helper's share of the trunk steps: a job (rows, params, keep_caches)
-    gives the layers with parameters their weights and biases and runs the
-    rows forward, keeping the caches; the gradient at the output of those
-    rows then runs them back and gives each layer's per-sample (dW, db),
-    top first."""
+    gives the layers with parameters their weights and biases, normalizes
+    images[rows] and runs them forward, keeping the caches; the gradient at
+    the output of those rows then runs them back and gives each layer's
+    per-sample (dW, db), top first. Neither the caller nor a helper ever
+    writes to images."""
     caches = []
 
     def step(job):
@@ -225,14 +231,15 @@ def _shard(trunk: list, layers: list, xnorm: np.ndarray):
         rows, params, keep_caches = job
         for layer, (weight, bias) in zip(layers, params):
             layer.weight, layer.bias = weight, bias
-        out, caches = forward_batch(trunk, xnorm[rows], keep_caches)
+        x = normalize_images(pixel_norm, images[rows])
+        out, caches = forward_batch(trunk, x, keep_caches)
         return out
 
     return step
 
 
 def _accuracy(net: _ShardedModel, rows: np.ndarray, labels: np.ndarray) -> float:
-    """Top-1 accuracy on xnorm[rows], whose labels are labels."""
+    """Top-1 accuracy on images[rows], whose labels are labels."""
     correct = 0
     for start in range(0, len(labels), _EVAL_CHUNK):
         chunk = slice(start, start + _EVAL_CHUNK)
@@ -244,19 +251,19 @@ def _accuracy(net: _ShardedModel, rows: np.ndarray, labels: np.ndarray) -> float
 
 def evaluate(model: Model, dataset: ShapeDataset) -> float:
     """Top-1 accuracy of the model on the whole dataset."""
-    with _ShardedModel(model, _model_inputs(model, dataset)) as net:
+    _check_inputs(model, dataset)
+    with _ShardedModel(model, dataset.images) as net:
         return _accuracy(net, np.arange(len(dataset)), dataset.labels)
 
 
-def _model_inputs(model: Model, dataset: ShapeDataset) -> np.ndarray:
-    """The dataset's images normalized for the model, after validating both."""
+def _check_inputs(model: Model, dataset: ShapeDataset) -> None:
+    """Validate the model, and that it takes the dataset's images."""
     model.validate()
     h, w = dataset.images.shape[1:3]
     if model.input_shape != (3, h, w):
         raise ShapeMismatchError(
             f"model input {model.input_shape} does not match dataset images (3, {h}, {w})"
         )
-    return normalize_images(model.pixel_norm, dataset.images)
 
 
 def validation_split(dataset: ShapeDataset, config: TrainConfig) -> ShapeDataset:

@@ -404,6 +404,54 @@ def test_usage_error_exits_two(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+# every file a command can write, by flag; make-dataset's --out is a directory it makes
+_FILE_OUTPUTS = [
+    ("train", "--out"),
+    ("train", "--report"),
+    ("classify", "--report"),
+    ("visualize", "--out"),
+    ("visualize", "--report"),
+    ("baseline", "--out"),
+    ("sweep-init", "--report"),
+    ("entropy", "--report"),
+    ("entropy", "--map-out"),
+    ("invert", "--out"),
+    ("screen", "--out"),
+]
+
+
+@pytest.mark.parametrize("command, flag", _FILE_OUTPUTS, ids=[f"{c}:{f}" for c, f in _FILE_OUTPUTS])
+@pytest.mark.parametrize(
+    "target, error",
+    [
+        ("missing/file", "FileNotFoundError: [Errno 2] No such file or directory"),
+        (".", "IsADirectoryError: [Errno 21] Is a directory"),
+    ],
+    ids=["missing-dir", "a-dir"],
+)
+def test_unwritable_output_fails_before_any_work(
+    tmp_path, monkeypatch, capsys, command, flag, target, error
+):
+    def work(*args, **kwargs):
+        pytest.fail("the command started work before checking its outputs")
+
+    for name in ("generate_dataset", "load_dataset", "train", "load_model", "read_ppm"):
+        monkeypatch.setattr(f"tivis.cli.{name}", work)
+    path = os.path.join(tmp_path, target)
+    argv = [command, *_MINIMAL_ARGV[command], flag, path]
+    if (command, flag) == ("train", "--report"):
+        argv += ["--out", str(tmp_path / "m.gbxm")]  # writable, but no model may be written
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {error}: {path!r}\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_make_dataset_makes_its_out_directory(tmp_path):
+    out = tmp_path / "new" / "ds"
+    assert main(["make-dataset", "--count-per-class", "1", "--out", str(out)]) == 0
+    assert len(load_dataset(out)) == 6
+
+
 _SHARED_FLAGS = ("--seed", "--model", "--out", "--report")
 
 

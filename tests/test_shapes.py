@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tivis.ppm import write_ppm
 from tivis.shapes import (
     CLASS_NAMES,
     MAX_COUNT_PER_CLASS,
@@ -92,5 +93,16 @@ def test_persistence_round_trip(tmp_path):
     loaded = load_dataset(tmp_path / "ds")
     np.testing.assert_array_equal(loaded.images, ds.images)
     np.testing.assert_array_equal(loaded.labels, ds.labels)
+    assert loaded.images.dtype == ds.images.dtype
+    assert loaded.images.tobytes() == ds.images.tobytes()
     assert loaded.class_names == ds.class_names
     assert loaded.seed == ds.seed
+
+
+def test_image_of_another_size_names_its_manifest_line(tmp_path):
+    save_dataset(generate_dataset(4, 1), tmp_path / "ds")
+    write_ppm(np.zeros((8, 8, 3)), tmp_path / "ds" / "sample_00002.ppm")
+    # lines 1-3 are the header, seed and classes; sample_00002 is on line 6
+    with pytest.raises(ValueError, match=r"^manifest line 6: image sample_00002\.ppm has shape "
+                                         r"\(8, 8, 3\), the first image \(64, 64, 3\)$"):
+        load_dataset(tmp_path / "ds")

@@ -2,6 +2,7 @@ import hashlib
 import math
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from helpers import clear_blas_thread_vars
 from tivis import parallel, training
 from tivis.errors import TrainingDivergedError
 from tivis.model_io import save_model
-from tivis.nn import forward_batch, normalize_images, plan
+from tivis.nn import PIXEL_NORMS, forward_batch, normalize_images, plan
 from tivis.shapes import ShapeDataset, generate_dataset
 from tivis.training import (
     _EVAL_CHUNK,
@@ -179,19 +180,24 @@ class TestTrunkOnHelpers:
         assert len(training_split(ds, cfg)) % 3 == 1
         assert len(validation_split(ds, cfg)) % _EVAL_CHUNK % 2 == 1
 
-        def run():
-            result = train(ds, reference_architecture(11), cfg)
-            return result, evaluate(result.model, ds)
+        # each shard normalizes its own rows, under either convention
+        for pixel_norm in PIXEL_NORMS:
+            model = reference_architecture(11)
+            model.pixel_norm = pixel_norm
 
-        (alone, alone_acc), (forked, forked_acc) = (
-            self._run(monkeypatch, shard_pids, cpus, run) for cpus in (1, 2)
-        )
-        for a, b in zip(alone.model.layers, forked.model.layers):
-            if a.kind in ("conv2d", "dense"):
-                assert a.weight.tobytes() == b.weight.tobytes()
-                assert a.bias.tobytes() == b.bias.tobytes()
-        assert [repr(h) for h in alone.history] == [repr(h) for h in forked.history]
-        assert alone_acc == forked_acc
+            def run():
+                result = train(ds, model, cfg)
+                return result, evaluate(result.model, ds)
+
+            (alone, alone_acc), (forked, forked_acc) = (
+                self._run(monkeypatch, shard_pids, cpus, run) for cpus in (1, 2)
+            )
+            for a, b in zip(alone.model.layers, forked.model.layers):
+                if a.kind in ("conv2d", "dense"):
+                    assert a.weight.tobytes() == b.weight.tobytes()
+                    assert a.bias.tobytes() == b.bias.tobytes()
+            assert [repr(h) for h in alone.history] == [repr(h) for h in forked.history]
+            assert alone_acc == forked_acc
 
     def test_divergence_raises_at_the_same_epoch(self, monkeypatch, shard_pids):
         ds = _small_dataset(seed=8, per_class=4)
@@ -221,6 +227,52 @@ class TestTrunkOnHelpers:
             diverged = self._run(monkeypatch, shard_pids, cpus, run)
             assert diverged.epoch == 0
             assert str(diverged.__cause__) == "layer 8 (dense) produced non-finite values"
+
+
+@pytest.mark.parametrize("pixel_norm", PIXEL_NORMS)
+def test_normalized_rows_are_the_rows_of_the_normalized_dataset(pixel_norm):
+    # a shard normalizes only the rows of its job; elementwise, so each row
+    # keeps the bits it has in the whole dataset normalized at once
+    images = _small_dataset(seed=12, per_class=2).images
+    whole = normalize_images(pixel_norm, images)
+    for rows in (np.array([5]), np.array([7, 0, 11, 3]), np.arange(len(images))):
+        assert normalize_images(pixel_norm, images[rows]).tobytes() == whole[rows].tobytes()
+
+
+def test_no_call_normalizes_more_than_one_shard_job(monkeypatch):
+    # in-process helpers, so every call is seen here
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
+    real, counts = training.normalize_images, []
+
+    def counted(pixel_norm, images):
+        counts[-1].append(len(images))
+        return real(pixel_norm, images)
+
+    monkeypatch.setattr(training, "normalize_images", counted)
+    ds = _small_dataset(seed=13, per_class=8)
+    cfg = TrainConfig(epochs=1, batch_size=8, seed=13)
+    counts.append([])
+    model = train(ds, reference_architecture(13), cfg).model
+    counts.append([])
+    evaluate(model, ds)
+    in_train, in_evaluate = counts
+    # the larger half of a batch, or of an accuracy chunk; never the dataset
+    assert 0 < max(in_train) <= max(-(-cfg.batch_size // 2), -(-_EVAL_CHUNK // 2)) < len(ds)
+    assert 0 < max(in_evaluate) <= -(-_EVAL_CHUNK // 2)
+    assert sum(in_evaluate) == len(ds)
+
+
+def test_train_makes_no_copy_of_the_dataset(monkeypatch):
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
+    ds = generate_dataset(5, 20)
+    model = reference_architecture(5)
+    tracemalloc.start()
+    try:
+        train(ds, model, TrainConfig(epochs=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ds.images.nbytes / 2
 
 
 @pytest.mark.slow
