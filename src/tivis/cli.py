@@ -250,7 +250,10 @@ def _cmd_train(args) -> int:
     )
     result = train(dataset, arch, config)
     save_model(result.model, args.out)
-    val_acc = evaluate(result.model, validation_split(dataset, config))
+    if result.history:  # train measured it on the same rows in the same chunks
+        val_acc = result.history[-1].val_accuracy
+    else:
+        val_acc = evaluate(result.model, validation_split(dataset, config))
     if args.report is not None:
         _write_report(args, reports.train_report(result.history, val_acc))
     print(f"wrote model to {args.out} (val accuracy {val_acc:.4f})")

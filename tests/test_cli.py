@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import shlex
@@ -18,6 +19,7 @@ from tivis import nn
 from tivis.nn import MAX_SIDE, Dense, Flatten, Model
 from tivis.ppm import read_ppm, write_ppm
 from tivis.shapes import load_dataset
+from tivis.training import evaluate
 
 
 @pytest.fixture
@@ -77,6 +79,47 @@ def test_train_and_classify(tmp_path, capsys):
     assert text.startswith("#tivis-report v1 kind=classify")
     assert "variant=screened" in text and "variant=inverted" in text
     assert "rank=2" in text
+
+
+def test_train_reports_the_last_epoch_accuracy_without_evaluating(tmp_path, monkeypatch, capsys):
+    # train measured it at the last epoch on the same rows in the same chunks;
+    # the report's bytes are those of a command that evaluated the model again
+    def evaluate_again(*args, **kwargs):
+        pytest.fail("the command evaluated the trained model again")
+
+    monkeypatch.setattr("tivis.cli.evaluate", evaluate_again)
+    report = tmp_path / "train.txt"
+    code = main([
+        "train", "--seed", "2", "--count-per-class", "20", "--epochs", "2",
+        "--out", str(tmp_path / "m.gbxm"), "--report", str(report),
+    ])
+    assert code == 0
+    assert report.read_text().splitlines()[-2:] == [
+        "epoch 1 train_loss=1.7743829761026004 val_accuracy=0.4583333333333333",
+        "final_val_accuracy 0.4583333333333333",
+    ]
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "136f34c6bab3264f4b555641a3cd98b6d41b5182eefe3665ee81d13a6cf059d6"
+    )
+    assert "(val accuracy 0.4583)" in capsys.readouterr().out
+
+
+def test_train_with_no_epochs_evaluates_the_model(tmp_path, monkeypatch):
+    sizes = []
+
+    def counted(model, dataset):
+        sizes.append(len(dataset))
+        return evaluate(model, dataset)
+
+    monkeypatch.setattr("tivis.cli.evaluate", counted)
+    report = tmp_path / "train.txt"
+    code = main([
+        "train", "--seed", "3", "--count-per-class", "20", "--epochs", "0",
+        "--out", str(tmp_path / "m.gbxm"), "--report", str(report),
+    ])
+    assert code == 0
+    assert sizes == [24]  # the validation split of 120 images
+    assert report.read_text() == "#tivis-report v1 kind=train\nfinal_val_accuracy 0.20833333333333334\n"
 
 
 def test_visualize_writes_image_and_report(tmp_path, confident_model_file, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,35 @@ def test_count_validation():
         generate_dataset(1, 0)
     with pytest.raises(ValueError, match=rf"\[1, {MAX_COUNT_PER_CLASS}\]"):
         generate_dataset(1, MAX_COUNT_PER_CLASS + 1)
+
+
+def test_images_are_uint8_rows_of_render_shape():
+    # load_dataset keeps the dtype (test_persistence_round_trip)
+    for seed in (2, 31):
+        ds = generate_dataset(seed, 3)
+        assert ds.images.dtype == np.uint8
+        for pos, label in enumerate(ds.labels):
+            rendered = render_shape(shape_params(seed, int(label), pos % 3))
+            assert np.array_equal(ds.images[pos], rendered)
+        assert sorted(set(ds.labels.tolist())) == list(range(len(CLASS_NAMES)))
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generate_and_load_peak_below_two_bytes_per_value(tmp_path):
+    # the uint8 array is one byte per value; a float64 one alone would be 8
+    ds, peak = _peak_bytes(lambda: generate_dataset(1, 20))
+    assert peak < 2 * ds.images.size
+    save_dataset(ds, tmp_path / "ds")
+    loaded, peak = _peak_bytes(lambda: load_dataset(tmp_path / "ds"))
+    assert peak < 2 * loaded.images.size
 
 
 def test_images_are_two_level_integer_buffers():

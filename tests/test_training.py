@@ -232,11 +232,28 @@ class TestTrunkOnHelpers:
 @pytest.mark.parametrize("pixel_norm", PIXEL_NORMS)
 def test_normalized_rows_are_the_rows_of_the_normalized_dataset(pixel_norm):
     # a shard normalizes only the rows of its job; elementwise, so each row
-    # keeps the bits it has in the whole dataset normalized at once
+    # keeps the bits it has in the whole dataset normalized at once, and the
+    # uint8 rows the bits of their float64 copy
     images = _small_dataset(seed=12, per_class=2).images
+    assert images.dtype == np.uint8
     whole = normalize_images(pixel_norm, images)
     for rows in (np.array([5]), np.array([7, 0, 11, 3]), np.arange(len(images))):
-        assert normalize_images(pixel_norm, images[rows]).tobytes() == whole[rows].tobytes()
+        normalized = normalize_images(pixel_norm, images[rows]).tobytes()
+        assert normalized == whole[rows].tobytes()
+        assert normalized == normalize_images(pixel_norm, images[rows].astype(np.float64)).tobytes()
+
+
+def test_uint8_and_float64_images_train_to_the_same_bits(monkeypatch, tmp_path):
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
+    ds = _small_dataset(seed=14, per_class=4)
+    wide = ShapeDataset(images=ds.images.astype(np.float64), labels=ds.labels, seed=ds.seed)
+    cfg = TrainConfig(epochs=2, batch_size=5, seed=14)
+    results = [train(dataset, reference_architecture(14), cfg) for dataset in (ds, wide)]
+    for name, result in zip(("uint8", "float64"), results):
+        save_model(result.model, tmp_path / name)
+    assert (tmp_path / "uint8").read_bytes() == (tmp_path / "float64").read_bytes()
+    assert [repr(h) for h in results[0].history] == [repr(h) for h in results[1].history]
+    assert evaluate(results[0].model, ds) == evaluate(results[0].model, wide)
 
 
 def test_no_call_normalizes_more_than_one_shard_job(monkeypatch):
