@@ -32,6 +32,11 @@ def write_ppm(image: np.ndarray, path) -> None:
 
 
 def read_ppm(path) -> np.ndarray:
+    return _read_pixels(path).astype(np.float64)
+
+
+def _read_pixels(path) -> np.ndarray:
+    """The file's (H, W, 3) uint8 samples, read-only, after checking its header."""
     with open(path, "rb") as f:
         raw = f.read()
     # the magic ends at whitespace or a comment: b"P65 5 255" is not P6
@@ -57,8 +62,7 @@ def read_ppm(path) -> np.ndarray:
         raise PpmTruncatedError(
             f"pixel data is {len(payload)} bytes, header promises {need}"
         )
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)
-    return pixels.astype(np.float64)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)
 
 
 def _next_token(raw: bytes, pos: int):

@@ -8,13 +8,14 @@ bit-identical final weights.
 The trunk and the head are two slices of the model's ``nn.plan``, cut at the
 first Dense. Each batch's trunk runs as two shards on two ``parallel.Helper``
 processes, and the head at full batch in the caller; ``evaluate`` splits its
-forwards the same way. The trunk computes each sample on its own, with the
-same bits at any batch size, and a shard returns per-sample weight gradients
-that the caller sums in batch order, so the bits do not depend on the split,
-nor on whether the helpers run in-process. ``Dense``'s ``x @ W.T`` is not
-batch-invariant, so the head is never split. The helpers inherit the
-dataset's display-unit images, and each shard job normalizes only its own
-rows, so no normalized copy of the whole dataset is ever made.
+forwards the same way. A shard runs its rows through the trunk one at a time,
+which keeps its temporaries small. The trunk computes each sample on its own,
+with the same bits at any batch size, and a shard returns per-sample weight
+gradients that the caller sums in batch order, so the bits do not depend on
+the split, nor on whether the helpers run in-process. ``Dense``'s ``x @ W.T``
+is not batch-invariant, so the head is never split. The helpers inherit the
+dataset's display-unit images, and each shard normalizes only its own rows,
+so no normalized copy of the whole dataset is ever made.
 """
 
 from __future__ import annotations
@@ -214,26 +215,28 @@ def _halves(a: np.ndarray) -> list:
 
 
 def _shard(trunk: list, layers: list, pixel_norm: str, images: np.ndarray):
-    """One helper's share of the trunk steps: a job (rows, params, keep_caches)
-    gives the layers with parameters their weights and biases, normalizes
-    images[rows] and runs them forward, keeping the caches; the gradient at
-    the output of those rows then runs them back and gives each layer's
-    per-sample (dW, db), top first. Neither the caller nor a helper ever
-    writes to images."""
+    """One helper's share of the trunk steps, run one row at a time: a job
+    (rows, params, keep_caches) gives the layers with parameters their weights
+    and biases, normalizes each of images[rows] and runs it forward, keeping
+    its caches; the gradient at the output of those rows then runs each back
+    and gives each layer's per-sample (dW, db) in row order, top first.
+    Neither the caller nor a helper ever writes to images."""
     caches = []
 
     def step(job):
         nonlocal caches
         if isinstance(job, np.ndarray):
-            grads = backward_batch(caches, job, param_grads=True)[1]
+            grads = [backward_batch(c, d[None], param_grads=True)[1] for c, d in zip(caches, job)]
             caches = []
-            return [pieces for _, pieces in grads]
+            return [tuple(map(np.concatenate, zip(*(g for _, g in layer)))) for layer in zip(*grads)]
         rows, params, keep_caches = job
         for layer, (weight, bias) in zip(layers, params):
             layer.weight, layer.bias = weight, bias
-        x = normalize_images(pixel_norm, images[rows])
-        out, caches = forward_batch(trunk, x, keep_caches)
-        return out
+        outs, caches = zip(*(
+            forward_batch(trunk, normalize_images(pixel_norm, images[r : r + 1]), keep_caches)
+            for r in rows
+        ))
+        return np.concatenate(outs)
 
     return step
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tivis.errors import PpmDepthError, PpmError, PpmMagicError, PpmTruncatedError, TivisError
-from tivis.ppm import read_ppm, write_ppm
+from tivis.ppm import _read_pixels, read_ppm, write_ppm
 
 
 def test_round_trip_identity_on_integer_images(tmp_path):
@@ -13,6 +13,16 @@ def test_round_trip_identity_on_integer_images(tmp_path):
     path = tmp_path / "a.ppm"
     write_ppm(img, path)
     np.testing.assert_array_equal(read_ppm(path), img)
+
+
+def test_read_ppm_is_the_uint8_payload_as_float64(tmp_path):
+    # load_dataset copies the uint8 payload straight into its rows
+    payload = np.random.default_rng(1).integers(0, 256, (4, 6, 3), dtype=np.uint8)
+    path = tmp_path / "p.ppm"
+    path.write_bytes(b"P6\n6 4\n255\n" + payload.tobytes())
+    pixels, img = _read_pixels(path), read_ppm(path)
+    assert pixels.dtype == np.uint8 and pixels.tobytes() == payload.tobytes()
+    assert img.dtype == np.float64 and img.tobytes() == payload.astype(np.float64).tobytes()
 
 
 def test_one_by_one_byte_layout(tmp_path):

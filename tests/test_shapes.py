@@ -1,9 +1,11 @@
+import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from tivis.errors import PpmTruncatedError
 from tivis.ppm import write_ppm
 from tivis.shapes import (
     CLASS_NAMES,
@@ -21,6 +23,13 @@ def test_same_seed_bit_identical():
     b = generate_dataset(1, 10)
     np.testing.assert_array_equal(a.images, b.images)
     np.testing.assert_array_equal(a.labels, b.labels)
+
+
+def test_reference_dataset_bits_are_golden(reference_dataset):
+    # the reference training's inputs; a change breaks the reference model's bits
+    assert hashlib.sha256(reference_dataset.images.tobytes()).hexdigest() == (
+        "562f3bc9f3dddc5dcd547a826d017cda46540c27d2147a61d96310af21b9828a"
+    )
 
 
 def test_different_seed_differs():
@@ -135,4 +144,12 @@ def test_image_of_another_size_names_its_manifest_line(tmp_path):
     # lines 1-3 are the header, seed and classes; sample_00002 is on line 6
     with pytest.raises(ValueError, match=r"^manifest line 6: image sample_00002\.ppm has shape "
                                          r"\(8, 8, 3\), the first image \(64, 64, 3\)$"):
+        load_dataset(tmp_path / "ds")
+
+
+def test_bad_image_file_raises_its_ppm_error(tmp_path):
+    # load_dataset reads the uint8 payload through the same checks as read_ppm
+    save_dataset(generate_dataset(4, 1), tmp_path / "ds")
+    (tmp_path / "ds" / "sample_00001.ppm").write_bytes(b"P6\n64 64\n255\n" + bytes(5))
+    with pytest.raises(PpmTruncatedError, match=r"^pixel data is 5 bytes, header promises 12288$"):
         load_dataset(tmp_path / "ds")

@@ -273,10 +273,55 @@ def test_no_call_normalizes_more_than_one_shard_job(monkeypatch):
     counts.append([])
     evaluate(model, ds)
     in_train, in_evaluate = counts
-    # the larger half of a batch, or of an accuracy chunk; never the dataset
-    assert 0 < max(in_train) <= max(-(-cfg.batch_size // 2), -(-_EVAL_CHUNK // 2)) < len(ds)
-    assert 0 < max(in_evaluate) <= -(-_EVAL_CHUNK // 2)
+    # a shard normalizes its rows one at a time; never the dataset
+    assert in_train and set(in_train) == {1}
+    assert set(in_evaluate) == {1}
     assert sum(in_evaluate) == len(ds)
+
+
+def test_every_trunk_pass_runs_one_row(monkeypatch):
+    # in-process helpers, so every call is seen here; only the head, which
+    # starts at the Dense, runs a whole batch or accuracy chunk
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
+    calls = []
+
+    def wrap(name, first_step):
+        real = getattr(training, name)
+
+        def recorded(seq, x, *args, **kwargs):
+            calls[-1].append((first_step(seq).kind == "dense", len(x)))
+            return real(seq, x, *args, **kwargs)
+
+        monkeypatch.setattr(training, name, recorded)
+
+    wrap("forward_batch", lambda steps: steps[0][1])
+    wrap("backward_batch", lambda caches: caches[0][0])
+    ds = _small_dataset(seed=15, per_class=8)
+    cfg = TrainConfig(epochs=1, batch_size=8, seed=15)
+    calls.append([])
+    model = train(ds, reference_architecture(15), cfg).model
+    calls.append([])
+    evaluate(model, ds)
+    for seen in calls:
+        assert {rows for head, rows in seen if not head} == {1}
+        assert max(rows for head, rows in seen if head) > 1
+    # evaluate: one trunk pass per image and one head pass per chunk
+    assert calls[1].count((False, 1)) == len(ds)
+    assert calls[1].count((True, _EVAL_CHUNK)) == len(ds) // _EVAL_CHUNK
+
+
+def test_evaluate_peaks_below_six_megabytes(monkeypatch):
+    # one row's trunk temporaries, not a 16-row accuracy job's (about 37 MB)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
+    ds = generate_dataset(5, 8)
+    model = reference_architecture(5)
+    tracemalloc.start()
+    try:
+        evaluate(model, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000
 
 
 def test_train_makes_no_copy_of_the_dataset(monkeypatch):
