@@ -46,7 +46,7 @@ def _pin_malloc_thresholds() -> bool:
     glibc lifts its mmap threshold to the largest freed mmapped block (at
     most 32 MiB on 64-bit) and its trim threshold to twice that. A fresh
     process that only runs N=1 gradient steps lifts them to about 1.8 MB,
-    so glibc returns each step's 3.6 MB of temporaries to the OS and the
+    so glibc returns each step's temporaries to the OS and the
     next step page-faults them back in. Pinning both at that ceiling costs
     a process that frees a large array nothing: it ends up there anyway.
 
@@ -122,7 +122,10 @@ def _normalize(pixel_norm: str, x: np.ndarray) -> np.ndarray:
 #
 # Each layer implements:
 #   out_shape(shape)      per-sample shape propagation, used for validation
-#   forward(x) -> (y, cache)
+#   forward(x, param_grads=True) -> (y, cache)
+#                         without param_grads the cache holds only what
+#                         backward(..., param_grads=False) reads: Conv2d's
+#                         drops its im2col columns, Dense's its input
 #   backward(dy, cache, param_grads=True) -> (dx, grads)
 #                         grads is (dW, db) for layers with parameters when
 #                         param_grads is true, None otherwise
@@ -165,7 +168,7 @@ class Conv2d:
             )
         return (oc, ho, wo)
 
-    def forward(self, x):
+    def forward(self, x, param_grads=True):
         n, c, h, w = x.shape
         oc, ic, kh, kw = self.weight.shape
         s, p = self.stride, self.padding
@@ -186,7 +189,7 @@ class Conv2d:
         wmat = self.weight.reshape(oc, -1)
         y = np.matmul(wmat, cols)
         y += self.bias[:, None]
-        return y.reshape(n, oc, ho, wo), (x.shape, cols)
+        return y.reshape(n, oc, ho, wo), (x.shape, cols) if param_grads else (x.shape,)
 
     def backward(self, dy, cache, param_grads=True):
         n, _, h, w = cache[0]
@@ -232,7 +235,7 @@ class Relu:
     def out_shape(self, shape):
         return shape
 
-    def forward(self, x):
+    def forward(self, x, param_grads=True):
         return np.maximum(x, 0.0), x > 0
 
     def backward(self, dy, cache, param_grads=True):
@@ -260,7 +263,7 @@ class MaxPool2x2:
         # the first tied position's value, sign of zero included
         return np.maximum(np.maximum(q3, q2), np.maximum(q1, q0))
 
-    def forward(self, x):
+    def forward(self, x, param_grads=True):
         y = self.maximum(x)
         q0, q1, q2, _ = _quadrants(x)
         # winner index in (0,0) (0,1) (1,0) (1,1) order, ties to the first:
@@ -296,7 +299,7 @@ class ReluMaxPool2x2:
     def maximum(self, x):
         return np.maximum(self.pool.maximum(x), 0.0)
 
-    def forward(self, x):
+    def forward(self, x, param_grads=True):
         m, (xshape, idx) = self.pool.forward(x)
         mask = m > 0
         return np.maximum(m, 0.0), (xshape, idx * mask, mask)
@@ -321,7 +324,7 @@ class GlobalAvgPool:
             raise ShapeChainError(f"avgpool_global expects (C, H, W) input, got {shape}")
         return (shape[0],)
 
-    def forward(self, x):
+    def forward(self, x, param_grads=True):
         return x.mean(axis=(2, 3)), x.shape
 
     def backward(self, dy, cache, param_grads=True):
@@ -337,7 +340,7 @@ class Flatten:
     def out_shape(self, shape):
         return (int(np.prod(shape)),)
 
-    def forward(self, x):
+    def forward(self, x, param_grads=True):
         return x.reshape(x.shape[0], -1), x.shape
 
     def backward(self, dy, cache, param_grads=True):
@@ -360,8 +363,8 @@ class Dense:
             raise ShapeChainError(f"dense bias shape {self.bias.shape} does not match {out_dim} outputs")
         return (out_dim,)
 
-    def forward(self, x):
-        return x @ self.weight.T + self.bias, x
+    def forward(self, x, param_grads=True):
+        return x @ self.weight.T + self.bias, x if param_grads else None
 
     def backward(self, dy, cache, param_grads=True):
         return dy @ self.weight, (self.weight_grads(dy, cache) if param_grads else None)
@@ -477,26 +480,29 @@ def plan(model: Model) -> list:
     return steps
 
 
-def forward_batch(steps: list, x: np.ndarray, keep_caches: bool = True):
+def forward_batch(steps: list, x: np.ndarray, grads: str | None = "weights"):
     """Run x through steps, a plan or a slice of one: (output, caches), one
-    (step, cache) per step. Without keep_caches, a step with a maximum runs it
+    (step, cache) per step, for a backward_batch that takes grads:
+    "weights" caches what it reads with param_grads on; "input" only what it
+    reads for the input gradient, so Conv2d frees its im2col columns after
+    its matmul; None caches nothing, and a step with a maximum runs it
     instead of forward, skipping the winners that only a backward pass reads."""
     caches = []
     for i, step in steps:
-        if keep_caches:
-            x, cache = step.forward(x)
-            caches.append((step, cache))
-        elif hasattr(step, "maximum"):
+        if grads is None and hasattr(step, "maximum"):
             x = step.maximum(x)
         else:
-            x, _ = step.forward(x)
+            x, cache = step.forward(x, param_grads=grads == "weights")
+            if grads:
+                caches.append((step, cache))
         if step.kind in _UNBOUNDED_KINDS and not np.all(np.isfinite(x)):
             raise NonFiniteError(f"layer {i} ({step.kind}) produced non-finite values")
     return x, caches
 
 
 def backward_batch(caches: list, d: np.ndarray, param_grads: bool = False):
-    """Back-propagate d, the gradient at the output, through forward_batch's caches.
+    """Back-propagate d, the gradient at the output, through forward_batch's
+    caches; param_grads needs caches kept for "weights".
 
     Returns (dx, grads): the input gradient and []; or, with param_grads,
     None and the (layer, layer.weight_grads) of each layer with parameters,
@@ -514,7 +520,7 @@ def backward_batch(caches: list, d: np.ndarray, param_grads: bool = False):
 
 def _logits(model: Model, image: np.ndarray) -> np.ndarray:
     xnorm = normalize_images(model.pixel_norm, image[None])
-    return forward_batch(plan(model), xnorm, keep_caches=False)[0][0]
+    return forward_batch(plan(model), xnorm, grads=None)[0][0]
 
 
 def forward(model: Model, image: np.ndarray) -> Prediction:
@@ -535,7 +541,7 @@ def confidence(model: Model, image: np.ndarray, target: int) -> float:
 def gradient_step(model: Model, x: np.ndarray, target: int, objective: str):
     """(confidence, input gradient) at a (3, H, W) display-unit image x;
     unchecked, like confidence."""
-    logits, caches = forward_batch(plan(model), _normalize(model.pixel_norm, x)[None])
+    logits, caches = forward_batch(plan(model), _normalize(model.pixel_norm, x)[None], "input")
     conf = softmax(logits[0])
     dlogits = np.zeros_like(logits)
     if objective == "softmax_confidence":

@@ -29,10 +29,11 @@ import os
 import numpy as np
 
 # environment variables through which a user sets the BLAS thread count (the
-# first wins, as in OpenBLAS), and OpenBLAS's thread-count setter as numpy's
-# bundled scipy-openblas and a plain build export it
+# first wins, as in OpenBLAS), and OpenBLAS's thread-count setter and kernel
+# name getter as numpy's bundled scipy-openblas and a plain build export them
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
+_OPENBLAS_CORENAMES = ("scipy_openblas_get_corename64_", "openblas_get_corename")
 
 
 def _user_blas_threads() -> int | None:
@@ -46,9 +47,8 @@ def _user_blas_threads() -> int | None:
     return None
 
 
-@functools.cache
-def _openblas_thread_setter():
-    """OpenBLAS's set-num-threads function as numpy loaded it, or None.
+def _openblas_function(names: tuple, argtypes: tuple, restype):
+    """The first of names that OpenBLAS exports as numpy loaded it, typed, or None.
 
     dlsym on numpy's linalg extension also searches the libraries it links.
     """
@@ -56,13 +56,25 @@ def _openblas_thread_setter():
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except (AttributeError, OSError):
         return None
-    for name in _OPENBLAS_SETTERS:
-        setter = getattr(lib, name, None)
-        if setter is not None:
-            setter.argtypes = (ctypes.c_int,)
-            setter.restype = None
-            return setter
+    for name in names:
+        function = getattr(lib, name, None)
+        if function is not None:
+            function.argtypes, function.restype = argtypes, restype
+            return function
     return None
+
+
+@functools.cache
+def _openblas_thread_setter():
+    """OpenBLAS's set-num-threads function, or None."""
+    return _openblas_function(_OPENBLAS_SETTERS, (ctypes.c_int,), None)
+
+
+def openblas_corename() -> str | None:
+    """The name of the kernel OpenBLAS picked for this CPU when it loaded
+    (OPENBLAS_CORETYPE forces one), or None where it cannot be found."""
+    getter = _openblas_function(_OPENBLAS_CORENAMES, (), ctypes.c_char_p)
+    return None if getter is None else getter().decode()
 
 
 def _usable_cpus() -> int:

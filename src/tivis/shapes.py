@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import PpmError
 from .rng import Xoshiro256, derive_seed
 
 CLASS_NAMES = ("ring", "cross", "stripes", "checker", "disk", "hex_outline")
@@ -170,7 +171,8 @@ def save_dataset(dataset: ShapeDataset, directory) -> None:
 
 
 def load_dataset(directory) -> ShapeDataset:
-    """Read a save_dataset directory; a malformed manifest line is a ValueError naming it."""
+    """Read a save_dataset directory; a malformed manifest line is a ValueError
+    naming it, and a corrupt image file its PpmError naming the line and file."""
     from .ppm import _read_pixels
 
     with open(os.path.join(directory, "manifest.txt"), "r", encoding="utf-8") as f:
@@ -193,7 +195,10 @@ def load_dataset(directory) -> ShapeDataset:
                 label = int(fields[1])
                 if not 0 <= label < len(class_names):
                     raise ValueError(f"label {label} outside [0, {len(class_names)})")
-                image = _read_pixels(os.path.join(directory, fields[0]))
+                try:
+                    image = _read_pixels(os.path.join(directory, fields[0]))
+                except PpmError as exc:
+                    raise type(exc)(f"manifest line {lineno}: {fields[0]}: {exc}") from None
                 if images is None:
                     images = np.empty((n_images,) + image.shape, dtype=np.uint8)
                 elif image.shape != images.shape[1:]:

@@ -185,10 +185,10 @@ class _ShardedModel(contextlib.ExitStack):
             for _ in range(2)
         ]
 
-    def forward(self, rows: np.ndarray, keep_caches: bool = True):
+    def forward(self, rows: np.ndarray, grads: str | None = "weights"):
         params = [(layer.weight, layer.bias) for layer in self._params]
-        x = np.concatenate(self._map([(half, params, keep_caches) for half in _halves(rows)]))
-        return forward_batch(self._head, x, keep_caches)
+        x = np.concatenate(self._map([(half, params, grads) for half in _halves(rows)]))
+        return forward_batch(self._head, x, grads)
 
     def backward(self, caches: list, d: np.ndarray) -> list:
         # the head's weight gradients, then the input gradient backward_batch
@@ -216,7 +216,7 @@ def _halves(a: np.ndarray) -> list:
 
 def _shard(trunk: list, layers: list, pixel_norm: str, images: np.ndarray):
     """One helper's share of the trunk steps, run one row at a time: a job
-    (rows, params, keep_caches) gives the layers with parameters their weights
+    (rows, params, grads) gives the layers with parameters their weights
     and biases, normalizes each of images[rows] and runs it forward, keeping
     its caches; the gradient at the output of those rows then runs each back
     and gives each layer's per-sample (dW, db) in row order, top first.
@@ -226,14 +226,14 @@ def _shard(trunk: list, layers: list, pixel_norm: str, images: np.ndarray):
     def step(job):
         nonlocal caches
         if isinstance(job, np.ndarray):
-            grads = [backward_batch(c, d[None], param_grads=True)[1] for c, d in zip(caches, job)]
+            per_row = [backward_batch(c, d[None], param_grads=True)[1] for c, d in zip(caches, job)]
             caches = []
-            return [tuple(map(np.concatenate, zip(*(g for _, g in layer)))) for layer in zip(*grads)]
-        rows, params, keep_caches = job
+            return [tuple(map(np.concatenate, zip(*(g for _, g in layer)))) for layer in zip(*per_row)]
+        rows, params, grads = job
         for layer, (weight, bias) in zip(layers, params):
             layer.weight, layer.bias = weight, bias
         outs, caches = zip(*(
-            forward_batch(trunk, normalize_images(pixel_norm, images[r : r + 1]), keep_caches)
+            forward_batch(trunk, normalize_images(pixel_norm, images[r : r + 1]), grads)
             for r in rows
         ))
         return np.concatenate(outs)
@@ -246,7 +246,7 @@ def _accuracy(net: _ShardedModel, rows: np.ndarray, labels: np.ndarray) -> float
     correct = 0
     for start in range(0, len(labels), _EVAL_CHUNK):
         chunk = slice(start, start + _EVAL_CHUNK)
-        logits, _ = net.forward(rows[chunk], keep_caches=False)
+        logits, _ = net.forward(rows[chunk], grads=None)
         # argmax breaks ties toward the smaller class index
         correct += int(np.sum(np.argmax(logits, axis=1) == labels[chunk]))
     return correct / len(labels)

@@ -242,7 +242,7 @@ def fd_input_gradient(model, image, target, objective, h=1e-4):
     x = nn.normalize_images(model.pixel_norm, np.asarray(image, dtype=np.float64)[None])
 
     def objective_at(xn):
-        logits, _ = nn.forward_batch(nn.plan(model), xn, keep_caches=False)
+        logits, _ = nn.forward_batch(nn.plan(model), xn, grads=None)
         if objective == "logit":
             return float(logits[0, target])
         return float(nn.softmax(logits[0])[target])

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from helpers import random_small_model
 
 from tivis import nn
@@ -37,14 +38,36 @@ step = hashlib.sha256(np.float64(q).tobytes() + g.tobytes()).hexdigest()[:16]
 print(step, image_id(final), trace.status, len(trace.records))
 """
 
+# Six gradient steps and one N=8 forward of that model; prints the name of
+# the running OpenBLAS kernel and the digest of the bytes.
+_KERNEL_PROBE = """
+import hashlib
+import numpy as np
+from tivis import nn
+from tivis.parallel import openblas_corename
+from tivis.training import reference_architecture
 
-def _run(**env_vars):
+model = reference_architecture(7)
+rng = np.random.default_rng(3)
+model.layers[-1].weight = rng.normal(0.0, 0.05, model.layers[-1].weight.shape)
+images = rng.uniform(0.0, 255.0, (8, 64, 64, 3))
+h = hashlib.sha256()
+for image in images[:6]:
+    q, g = nn.confidence_and_input_gradient(model, image, 2)
+    h.update(np.float64(q).tobytes() + g.tobytes())
+logits, _ = nn.forward_batch(nn.plan(model), nn.normalize_images(model.pixel_norm, images), grads=None)
+h.update(logits.tobytes())
+print(openblas_corename(), h.hexdigest()[:16])
+"""
+
+
+def _run(code=_RUN, **env_vars):
     env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     src = str(Path(nn.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env.update(env_vars)
     proc = subprocess.run(
-        [sys.executable, "-c", _RUN], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     return proc.stdout.split()
 
@@ -63,3 +86,16 @@ def test_bits_do_not_depend_on_the_blas_thread_count():
     two = _run(OPENBLAS_NUM_THREADS="2")
     assert one == two
     assert one[3] == "3"  # the run went through three passes and batteries
+
+
+@pytest.mark.parametrize(
+    "kernel, digest",
+    # numpy 2.4.6 with OpenBLAS 0.3.31; the digests differ because the two
+    # kernels order a DGEMM's sums differently
+    [("SkylakeX", "0729806abac4b7e0"), ("Haswell", "39bd6474c8718cfb")],
+)
+def test_bits_depend_on_the_blas_kernel(kernel, digest):
+    running, got = _run(_KERNEL_PROBE, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1")
+    if running != kernel:
+        pytest.skip(f"OpenBLAS runs {running}, not the forced {kernel}, on this CPU")
+    assert got == digest

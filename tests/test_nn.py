@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -236,11 +237,11 @@ class TestForwardOnly:
             yield random_small_model(seed)[0]
 
     @staticmethod
-    def _step_outputs(model, x, keep_caches):
+    def _step_outputs(model, x, grads):
         """forward_batch's output after each layer of model."""
         prefixes = (nn.Model(model.layers[:k], model.input_shape, model.class_names)
                     for k in range(1, len(model.layers) + 1))
-        return [nn.forward_batch(nn.plan(prefix), x, keep_caches)[0] for prefix in prefixes]
+        return [nn.forward_batch(nn.plan(prefix), x, grads)[0] for prefix in prefixes]
 
     def test_every_output_equals_the_cached_pass(self):
         kinds = set()
@@ -251,8 +252,8 @@ class TestForwardOnly:
             images[:, : h // 2] = 0.0  # ties in the pool windows
             x = nn.normalize_images(model.pixel_norm, images)
             _, caches = nn.forward_batch(nn.plan(model), x)
-            assert caches and nn.forward_batch(nn.plan(model), x, keep_caches=False)[1] == []
-            for fast, cached in zip(self._step_outputs(model, x, False), self._step_outputs(model, x, True)):
+            assert caches and nn.forward_batch(nn.plan(model), x, grads=None)[1] == []
+            for fast, cached in zip(self._step_outputs(model, x, None), self._step_outputs(model, x, "weights")):
                 _assert_same_bytes(fast, cached)
         assert {"maxpool2x2", "avgpool_global", "relu"} <= kinds
 
@@ -260,7 +261,7 @@ class TestForwardOnly:
         for layers in ([nn.Relu(), nn.MaxPool2x2()], [nn.MaxPool2x2(), nn.Relu()], [nn.MaxPool2x2()]):
             steps = nn.plan(nn.Model(layers, (3, 8, 8), ()))
             for x, _ in _pool_cases():
-                _assert_same_bytes(nn.forward_batch(steps, x, keep_caches=False)[0],
+                _assert_same_bytes(nn.forward_batch(steps, x, grads=None)[0],
                                    nn.forward_batch(steps, x)[0])
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -269,9 +270,9 @@ class TestForwardOnly:
         model = self._pool_without_relu_model(3)
         model.layers[layer].weight[:] = 1e308
         x = nn.normalize_images(model.pixel_norm, np.full((1, 9, 9, 3), 255.0))
-        for keep_caches in (True, False):
+        for grads in ("weights", "input", None):
             with pytest.raises(NonFiniteError, match=rf"^layer {layer} \({kind}\) produced"):
-                nn.forward_batch(nn.plan(model), x, keep_caches=keep_caches)
+                nn.forward_batch(nn.plan(model), x, grads=grads)
 
 
 class TestNonFiniteChecks:
@@ -401,6 +402,52 @@ class TestBackward:
                     dw, db = dw.sum(axis=0), db.sum(axis=0)
                 _assert_same_bytes(dw, want_dw)
                 _assert_same_bytes(db, want_db)
+
+
+class TestInputGradientCaches:
+    """forward_batch(..., "input") caches only what the input gradient reads."""
+
+    def test_gradient_step_peaks_below_2_5_mb(self):
+        # with the conv layers' im2col columns cached it peaked at 3.6 MB
+        model = reference_architecture(7)
+        x = np.random.default_rng(0).uniform(0, 255, (3, 64, 64))
+        nn.gradient_step(model, x, 2, "softmax_confidence")
+        tracemalloc.start()
+        try:
+            nn.gradient_step(model, x, 2, "softmax_confidence")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
+
+    def test_input_caches_give_the_weight_caches_bits(self):
+        rng = np.random.default_rng(14)
+        for seed in range(9):  # all three variants
+            model, img = random_small_model(seed)
+            x = nn.normalize_images(model.pixel_norm, np.stack([img, img[::-1]]))
+            logits, caches = nn.forward_batch(nn.plan(model), x, "input")
+            want_logits, want_caches = nn.forward_batch(nn.plan(model), x, "weights")
+            _assert_same_bytes(logits, want_logits)
+            for step, cache in caches:
+                if step.kind == "conv2d":
+                    assert len(cache) == 1  # the input shape, without the columns
+            d = rng.normal(size=logits.shape)
+            _assert_same_bytes(nn.backward_batch(caches, d)[0], nn.backward_batch(want_caches, d)[0])
+
+    def test_conv_forward_alone_keeps_the_weight_gradient_cache(self):
+        rng = np.random.default_rng(15)
+        conv = nn.Conv2d(weight=rng.normal(size=(4, 3, 3, 3)), bias=rng.normal(size=4), padding=1)
+        x = rng.normal(size=(2, 3, 6, 7))
+        y, cache = conv.forward(x)
+        dy = rng.normal(size=y.shape)
+        dx, (dw, db) = conv.backward(dy, cache)
+        want_dx, want_dw, want_db = conv2d_backward_direct(x, conv.weight, 1, 1, dy)
+        for got, want in ((dx, want_dx), (dw, want_dw), (db, want_db)):
+            assert np.max(np.abs(got - want)) <= 1e-10
+        y_input, cache_input = conv.forward(x, param_grads=False)
+        _assert_same_bytes(y_input, y)
+        assert cache_input == (x.shape,)
+        _assert_same_bytes(conv.backward(dy, cache_input, param_grads=False)[0], dx)
 
 
 class TestSoftmax:

@@ -148,8 +148,12 @@ def test_image_of_another_size_names_its_manifest_line(tmp_path):
 
 
 def test_bad_image_file_raises_its_ppm_error(tmp_path):
-    # load_dataset reads the uint8 payload through the same checks as read_ppm
+    # load_dataset reads the uint8 payload through the same checks as read_ppm,
+    # and names the manifest line and the file of a corrupt one
     save_dataset(generate_dataset(4, 1), tmp_path / "ds")
     (tmp_path / "ds" / "sample_00001.ppm").write_bytes(b"P6\n64 64\n255\n" + bytes(5))
-    with pytest.raises(PpmTruncatedError, match=r"^pixel data is 5 bytes, header promises 12288$"):
+    with pytest.raises(
+        PpmTruncatedError,
+        match=r"^manifest line 5: sample_00001\.ppm: pixel data is 5 bytes, header promises 12288$",
+    ):
         load_dataset(tmp_path / "ds")

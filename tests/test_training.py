@@ -71,7 +71,7 @@ def test_initial_cross_entropy_is_ln6():
     ds = _small_dataset(seed=4, per_class=6)
     model = reference_architecture(4)
     xnorm = normalize_images(model.pixel_norm, ds.images)
-    logits, _ = forward_batch(plan(model), xnorm, keep_caches=False)
+    logits, _ = forward_batch(plan(model), xnorm, grads=None)
     loss, _ = _cross_entropy_and_dlogits(logits, ds.labels)
     assert abs(loss - math.log(6)) <= 0.05
     assert abs(loss - math.log(6)) <= 1e-12  # zero head makes it exact
