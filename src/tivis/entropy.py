@@ -212,6 +212,9 @@ def init_sweep(
         raise ValueError("gray_levels must be nonempty")
     # every level and the map's size are checked before the first visualization runs
     levels = sorted(check_gray_level(int(g)) for g in gray_levels)
+    for a, b in zip(levels, levels[1:]):
+        if a == b:
+            raise ValueError(f"gray level {a} is given more than once")
     _, h, w = model.input_shape
     _check_second_order(*_map_shape(h, w, window, stride))
 

@@ -75,7 +75,11 @@ def _pin_malloc_thresholds() -> bool:
 
 _MALLOC_THRESHOLDS_PINNED = _pin_malloc_thresholds()
 
-PIXEL_NORMS = ("unit_01", "signed_11")
+# pixel_norm -> (display units per normalized unit, display value whose
+# normalized value is exactly 0)
+_PIXEL_NORM_TABLE = {"unit_01": (255.0, 0.0), "signed_11": (127.5, 127.5)}
+
+PIXEL_NORMS = tuple(_PIXEL_NORM_TABLE)
 
 OBJECTIVES = ("softmax_confidence", "logit")
 
@@ -83,23 +87,28 @@ OBJECTIVES = ("softmax_confidence", "logit")
 # model may declare: it bounds the arrays a model file can make a run build
 MAX_SIDE = 1024
 
+# the most values per image of any array a pass builds: 32 channels of
+# MAX_SIDE x MAX_SIDE, 256 MiB of float64. Only a conv builds arrays larger
+# than its input and its weights, so Conv2d.out_shape checks each of its own:
+# the padded input, the im2col columns, the output and backward's buffers
+MAX_VALUES = 32 * MAX_SIDE * MAX_SIDE
+
+
+def _pixel_norm(pixel_norm: str) -> tuple:
+    try:
+        return _PIXEL_NORM_TABLE[pixel_norm]
+    except KeyError:
+        raise ValueError(f"unknown pixel_norm {pixel_norm!r}") from None
+
 
 def pixel_norm_slope(pixel_norm: str) -> float:
     """d(normalized)/d(display) for the given convention."""
-    if pixel_norm == "unit_01":
-        return 1.0 / 255.0
-    if pixel_norm == "signed_11":
-        return 1.0 / 127.5
-    raise ValueError(f"unknown pixel_norm {pixel_norm!r}")
+    return 1.0 / _pixel_norm(pixel_norm)[0]
 
 
 def zero_display_value(pixel_norm: str) -> float:
     """Display value whose normalized value is exactly 0."""
-    if pixel_norm == "unit_01":
-        return 0.0
-    if pixel_norm == "signed_11":
-        return 127.5
-    raise ValueError(f"unknown pixel_norm {pixel_norm!r}")
+    return _pixel_norm(pixel_norm)[1]
 
 
 def normalize_images(pixel_norm: str, images: np.ndarray) -> np.ndarray:
@@ -110,30 +119,28 @@ def normalize_images(pixel_norm: str, images: np.ndarray) -> np.ndarray:
 
 def _normalize(pixel_norm: str, x: np.ndarray) -> np.ndarray:
     """Display units -> normalized, elementwise, in any layout."""
-    if pixel_norm == "unit_01":
-        return x / 255.0
-    if pixel_norm == "signed_11":
-        return x / 127.5 - 1.0
-    raise ValueError(f"unknown pixel_norm {pixel_norm!r}")
+    scale, zero = _pixel_norm(pixel_norm)
+    y = x / scale
+    if zero:
+        y -= zero / scale
+    return y
 
 
 # --------------------------------------------------------------------------
 # Layers
 #
-# Each layer implements:
+# Each layer, and ReluMaxPool2x2, plan's one step for a Relu then a
+# MaxPool2x2, implements:
 #   out_shape(shape)      per-sample shape propagation, used for validation
-#   forward(x, param_grads=True) -> (y, cache)
-#                         without param_grads the cache holds only what
-#                         backward(..., param_grads=False) reads: Conv2d's
-#                         drops its im2col columns, Dense's its input
-#   backward(dy, cache, param_grads=True) -> (dx, grads)
-#                         grads is (dW, db) for layers with parameters when
-#                         param_grads is true, None otherwise
-# MaxPool2x2 and ReluMaxPool2x2, plan's one step for a Relu then a MaxPool2x2,
-# also implement maximum(x) -> y, forward's output without the cached winners.
-# Layers with parameters also implement weight_grads(dy, cache) -> (dW, db);
-# Conv2d's are per-sample stacks, whose sums over axis 0 in batch order are
-# the batch's, so a batch split into shards sums to the same bits.
+#   forward(x, grads="weights") -> (y, cache)
+#                         the cache holds what the gradients grads names read:
+#                         "weights" all that backward and weight_grads read;
+#                         "input" only what backward reads, so Conv2d drops its
+#                         im2col columns and Dense its input; None nothing, so
+#                         the cache is None and the pools skip their winners
+#   backward(dy, cache) -> (dx, None), the input gradient alone
+# Layers with parameters also implement weight_grads(dy, cache) -> (dW, db),
+# the batch's sums, shaped like weight and bias, from a "weights" cache.
 # Batched activations: images (N, C, H, W), vectors (N, D).
 
 
@@ -166,9 +173,22 @@ class Conv2d:
                 f"conv2d kernel {kh}x{kw} does not fit input {h}x{w} "
                 f"with padding {self.padding}"
             )
+        # the flat rows of backward's buffers: dy padded, the taps' columns
+        # and the strided input gradient
+        flat = max(oc, kh * kw * ic, self.stride * ic) * (ho + kh) * wp
+        for what, values in (
+            ("padded input", ic * hp * wp),
+            ("im2col columns", ic * kh * kw * ho * wo),
+            ("output", oc * ho * wo),
+            ("input-gradient buffer", flat),
+        ):
+            if values > MAX_VALUES:
+                raise ShapeChainError(
+                    f"conv2d {what} of {values} values per image exceeds the limit {MAX_VALUES}"
+                )
         return (oc, ho, wo)
 
-    def forward(self, x, param_grads=True):
+    def forward(self, x, grads="weights"):
         n, c, h, w = x.shape
         oc, ic, kh, kw = self.weight.shape
         s, p = self.stride, self.padding
@@ -189,9 +209,12 @@ class Conv2d:
         wmat = self.weight.reshape(oc, -1)
         y = np.matmul(wmat, cols)
         y += self.bias[:, None]
-        return y.reshape(n, oc, ho, wo), (x.shape, cols) if param_grads else (x.shape,)
+        y = y.reshape(n, oc, ho, wo)
+        if grads == "weights":
+            return y, (x.shape, cols)
+        return y, (x.shape,) if grads else None
 
-    def backward(self, dy, cache, param_grads=True):
+    def backward(self, dy, cache):
         n, _, h, w = cache[0]
         oc, ic, kh, kw = self.weight.shape
         s, p = self.stride, self.padding
@@ -215,17 +238,13 @@ class Conv2d:
         for k in range(kh * kw):
             at = k // kw * wp + k % kw
             dxf[:, at::s] += dcols[:, k, : (s * block - at + s - 1) // s]
-        dx = dxf.reshape(n, ic, s * rows, wp)[:, :, p : p + h, p : p + w]
-        if not param_grads:
-            return dx, None
-        return dx, tuple(g.sum(axis=0) for g in self.weight_grads(dy, cache))
+        return dxf.reshape(n, ic, s * rows, wp)[:, :, p : p + h, p : p + w], None
 
     def weight_grads(self, dy, cache):
-        """(dW, db) of each sample, (N, *weight.shape) and (N, out_ch),
-        without the input gradient."""
+        """The batch's (dW, db), without the input gradient."""
         n, oc = dy.shape[:2]
-        dw = np.matmul(dy.reshape(n, oc, -1), cache[1].transpose(0, 2, 1))
-        return dw.reshape(n, *self.weight.shape), dy.sum(axis=(2, 3))
+        dw = np.matmul(dy.reshape(n, oc, -1), cache[1].transpose(0, 2, 1)).sum(axis=0)
+        return dw.reshape(self.weight.shape), dy.sum(axis=(0, 2, 3))
 
 
 @dataclass
@@ -235,10 +254,10 @@ class Relu:
     def out_shape(self, shape):
         return shape
 
-    def forward(self, x, param_grads=True):
-        return np.maximum(x, 0.0), x > 0
+    def forward(self, x, grads="weights"):
+        return np.maximum(x, 0.0), (x > 0 if grads else None)
 
-    def backward(self, dy, cache, param_grads=True):
+    def backward(self, dy, cache):
         return dy * cache, None
 
 
@@ -256,16 +275,13 @@ class MaxPool2x2:
             raise ShapeChainError(f"maxpool2x2 needs at least 2x2 input, got {h}x{w}")
         return (c, h // 2, w // 2)
 
-    def maximum(self, x):
-        """forward's pooled output alone, without the winners."""
+    def forward(self, x, grads="weights"):
         q0, q1, q2, q3 = _quadrants(x)
         # np.maximum returns its second argument on a tie, so this order keeps
         # the first tied position's value, sign of zero included
-        return np.maximum(np.maximum(q3, q2), np.maximum(q1, q0))
-
-    def forward(self, x, param_grads=True):
-        y = self.maximum(x)
-        q0, q1, q2, _ = _quadrants(x)
+        y = np.maximum(np.maximum(q3, q2), np.maximum(q1, q0))
+        if not grads:
+            return y, None
         # winner index in (0,0) (0,1) (1,0) (1,1) order, ties to the first:
         # the count of leading quadrants that miss the maximum
         n0 = q0 != y
@@ -275,7 +291,7 @@ class MaxPool2x2:
         idx += n2.view(np.uint8)
         return y, (x.shape, idx)
 
-    def backward(self, dy, cache, param_grads=True):
+    def backward(self, dy, cache):
         xshape, idx = cache
         # the four quadrant writes cover an even input whole
         dx = np.zeros(xshape) if xshape[2] % 2 or xshape[3] % 2 else np.empty(xshape)
@@ -296,15 +312,15 @@ class ReluMaxPool2x2:
     pool: MaxPool2x2
     kind: str = field(default="relu+maxpool2x2", init=False, repr=False)
 
-    def maximum(self, x):
-        return np.maximum(self.pool.maximum(x), 0.0)
-
-    def forward(self, x, param_grads=True):
-        m, (xshape, idx) = self.pool.forward(x)
+    def forward(self, x, grads="weights"):
+        m, cache = self.pool.forward(x, grads)
+        y = np.maximum(m, 0.0)
+        if not grads:
+            return y, None
         mask = m > 0
-        return np.maximum(m, 0.0), (xshape, idx * mask, mask)
+        return y, (cache[0], cache[1] * mask, mask)
 
-    def backward(self, dy, cache, param_grads=True):
+    def backward(self, dy, cache):
         return self.pool.backward(dy * cache[2], cache[:2])
 
 
@@ -324,10 +340,10 @@ class GlobalAvgPool:
             raise ShapeChainError(f"avgpool_global expects (C, H, W) input, got {shape}")
         return (shape[0],)
 
-    def forward(self, x, param_grads=True):
-        return x.mean(axis=(2, 3)), x.shape
+    def forward(self, x, grads="weights"):
+        return x.mean(axis=(2, 3)), (x.shape if grads else None)
 
-    def backward(self, dy, cache, param_grads=True):
+    def backward(self, dy, cache):
         n, c, h, w = cache
         dx = np.broadcast_to(dy[:, :, None, None], (n, c, h, w)) / (h * w)
         return np.ascontiguousarray(dx), None
@@ -340,10 +356,10 @@ class Flatten:
     def out_shape(self, shape):
         return (int(np.prod(shape)),)
 
-    def forward(self, x, param_grads=True):
-        return x.reshape(x.shape[0], -1), x.shape
+    def forward(self, x, grads="weights"):
+        return x.reshape(x.shape[0], -1), (x.shape if grads else None)
 
-    def backward(self, dy, cache, param_grads=True):
+    def backward(self, dy, cache):
         return dy.reshape(cache), None
 
 
@@ -363,14 +379,14 @@ class Dense:
             raise ShapeChainError(f"dense bias shape {self.bias.shape} does not match {out_dim} outputs")
         return (out_dim,)
 
-    def forward(self, x, param_grads=True):
-        return x @ self.weight.T + self.bias, x if param_grads else None
+    def forward(self, x, grads="weights"):
+        return x @ self.weight.T + self.bias, (x if grads == "weights" else None)
 
-    def backward(self, dy, cache, param_grads=True):
-        return dy @ self.weight, (self.weight_grads(dy, cache) if param_grads else None)
+    def backward(self, dy, cache):
+        return dy @ self.weight, None
 
     def weight_grads(self, dy, cache):
-        """(dW, db) of a backward pass, without the input gradient."""
+        """The batch's (dW, db), without the input gradient."""
         return dy.T @ cache, dy.sum(axis=0)
 
 
@@ -482,19 +498,13 @@ def plan(model: Model) -> list:
 
 def forward_batch(steps: list, x: np.ndarray, grads: str | None = "weights"):
     """Run x through steps, a plan or a slice of one: (output, caches), one
-    (step, cache) per step, for a backward_batch that takes grads:
-    "weights" caches what it reads with param_grads on; "input" only what it
-    reads for the input gradient, so Conv2d frees its im2col columns after
-    its matmul; None caches nothing, and a step with a maximum runs it
-    instead of forward, skipping the winners that only a backward pass reads."""
+    (step, cache) per step, for a backward_batch that takes grads, which each
+    step's forward takes: "weights", "input" or None, which keeps no caches."""
     caches = []
     for i, step in steps:
-        if grads is None and hasattr(step, "maximum"):
-            x = step.maximum(x)
-        else:
-            x, cache = step.forward(x, param_grads=grads == "weights")
-            if grads:
-                caches.append((step, cache))
+        x, cache = step.forward(x, grads)
+        if grads:
+            caches.append((step, cache))
         if step.kind in _UNBOUNDED_KINDS and not np.all(np.isfinite(x)):
             raise NonFiniteError(f"layer {i} ({step.kind}) produced non-finite values")
     return x, caches
@@ -514,7 +524,7 @@ def backward_batch(caches: list, d: np.ndarray, param_grads: bool = False):
             grads.append((step, step.weight_grads(d, cache)))
         if param_grads and k == 0:
             return None, grads
-        d, _ = step.backward(d, cache, param_grads=False)
+        d, _ = step.backward(d, cache)
     return d, grads
 
 

@@ -228,7 +228,7 @@ def _shard(trunk: list, layers: list, pixel_norm: str, images: np.ndarray):
         if isinstance(job, np.ndarray):
             per_row = [backward_batch(c, d[None], param_grads=True)[1] for c, d in zip(caches, job)]
             caches = []
-            return [tuple(map(np.concatenate, zip(*(g for _, g in layer)))) for layer in zip(*per_row)]
+            return [tuple(map(np.stack, zip(*(g for _, g in layer)))) for layer in zip(*per_row)]
         rows, params, grads = job
         for layer, (weight, bias) in zip(layers, params):
             layer.weight, layer.bias = weight, bias

@@ -15,7 +15,14 @@ import math
 import numpy as np
 
 from tivis import nn
-from tivis.parallel import BLAS_THREAD_VARS, _openblas_thread_setter
+from tivis.parallel import BLAS_THREAD_VARS, _openblas_thread_setter, openblas_corename
+
+
+def blas_kernel_note() -> str:
+    """Failure message for an assertion of golden bits, which were recorded
+    under OpenBLAS's SkylakeX kernel: another kernel orders a DGEMM's sums
+    differently, and gives other bits."""
+    return f"golden bits recorded under OpenBLAS kernel SkylakeX; this run uses {openblas_corename()}"
 
 
 # --------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    blas_kernel_note,
     cooccurrence_direct,
     entropy_direct,
     fd_input_gradient,
@@ -182,12 +183,13 @@ def test_criterion_5_desk_scale_central_claim(reference_run, reference_dataset):
         # golden bits of this run, recorded with numpy 2.4.6 and OpenBLAS
         # 0.3.31 (scipy-openblas64); a change to any of them breaks the
         # bit-reproducibility contract
-        assert E.image_id(image) == "d2cc1322922c5b01"
-        assert trace.records[-1].battery_min == 0.8301733193157064
+        kernel = blas_kernel_note()
+        assert E.image_id(image) == "d2cc1322922c5b01", kernel
+        assert trace.records[-1].battery_min == 0.8301733193157064, kernel
         assert [rec.inner_steps for rec in trace.records] == [
             494, 172, 255, 319, 319, 295, 297, 298, 212, 196, 59, 192, 211, 152, 96, 98,
             58, 88, 84, 98, 173, 222, 150, 135, 138, 152, 176, 166, 84, 124, 225, 210,
-        ]
+        ], kernel
 
         wins = sum(inv > base for inv, base in pairs)
         assert wins >= 8, f"invariant beat baseline in only {wins}/10 runs"

@@ -98,4 +98,4 @@ def test_bits_depend_on_the_blas_kernel(kernel, digest):
     running, got = _run(_KERNEL_PROBE, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1")
     if running != kernel:
         pytest.skip(f"OpenBLAS runs {running}, not the forced {kernel}, on this CPU")
-    assert got == digest
+    assert got == digest, f"digest recorded under OpenBLAS kernel {kernel}; this run uses {running}"

@@ -320,6 +320,17 @@ class TestInitSweep:
         with pytest.raises(ValueError, match=rf"must be in \[0, 255\], got {bad}"):
             E.init_sweep(model, 0, schedule, config, stop, gray_levels=(0, 128, bad))
 
+    def test_repeated_level_rejected_before_any_run(self, monkeypatch):
+        model, schedule, config, stop = self._setup()
+        import tivis.visualizer as viz
+
+        def never(*args):
+            raise AssertionError("visualize ran before the gray levels were checked")
+
+        monkeypatch.setattr(viz, "visualize", never)
+        with pytest.raises(ValueError, match=r"^gray level 5 is given more than once$"):
+            E.init_sweep(model, 0, schedule, config, stop, gray_levels=(5, 128, 5.0))
+
     @pytest.mark.parametrize(
         "window, stride, error, message",
         [

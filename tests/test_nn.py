@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    blas_kernel_note,
     conv2d_backward_direct,
     conv2d_input_grad_by_windows,
     dense_backward_direct,
@@ -21,6 +22,7 @@ from helpers import (
 from tivis import nn
 from tivis.entropy import image_id
 from tivis.errors import InvalidClassError, NonFiniteError, ShapeChainError, ShapeMismatchError
+from tivis.model_io import LAYER_FORMATS
 from tivis.training import reference_architecture
 from tivis.transforms import TransformSchedule, constant_image, parse_transform_list, run_battery
 from tivis.visualizer import OptimConfig, StoppingCriterion, optimize_to_confidence, visualize
@@ -182,9 +184,46 @@ class TestMaxPool:
             dx, grads = step.backward(dy, fused)
             assert grads is None
             _assert_same_bytes(y, want_y)
-            _assert_same_bytes(step.maximum(x), want_y)
+            _assert_same_bytes(step.forward(x, None)[0], want_y)
             _assert_same_bytes(fused[1], cache[1])
             _assert_same_bytes(dx, want_dx)
+
+
+def _contract_layer(kind, rng):
+    """A layer of kind and an input batch of two for it."""
+    images = rng.normal(size=(2, 3, 7, 6))
+    images[0, :, :4] = 0.0  # ties in the pool windows
+    if kind == "conv2d":
+        conv = nn.Conv2d(weight=rng.normal(size=(4, 3, 3, 3)), bias=rng.normal(size=4), stride=2, padding=1)
+        return conv, images
+    if kind == "dense":
+        return nn.Dense(weight=rng.normal(size=(5, 7)), bias=rng.normal(size=5)), rng.normal(size=(2, 7))
+    if kind == "relu+maxpool2x2":
+        return nn.ReluMaxPool2x2(nn.MaxPool2x2()), images
+    return LAYER_FORMATS[kind][0](), images
+
+
+class TestLayerContract:
+    """Every step has forward(x, grads), backward(dy, cache) -> (dx, None)
+    and, with parameters, weight_grads(dy, cache) -> the batch's (dW, db)."""
+
+    @pytest.mark.parametrize("kind", [*LAYER_FORMATS, "relu+maxpool2x2"])
+    def test_every_kind_keeps_the_contract(self, kind):
+        layer, x = _contract_layer(kind, np.random.default_rng(len(kind)))
+        assert layer.kind == kind
+        y, cache = layer.forward(x)
+        dy = np.random.default_rng(0).normal(size=y.shape)
+        dx, none = layer.backward(dy, cache)
+        assert none is None and dx.shape == x.shape
+        y_only, no_cache = layer.forward(x, None)
+        assert no_cache is None
+        _assert_same_bytes(y_only, y)
+        y_input, input_cache = layer.forward(x, "input")
+        _assert_same_bytes(y_input, y)
+        _assert_same_bytes(layer.backward(dy, input_cache)[0], dx)
+        if hasattr(layer, "weight_grads"):
+            dw, db = layer.weight_grads(dy, cache)
+            assert dw.shape == layer.weight.shape and db.shape == layer.bias.shape
 
 
 class TestPlan:
@@ -329,7 +368,8 @@ class TestBackward:
             x = rng.normal(size=(n, ic, h, w))
             y, cache = conv.forward(x)
             dy = rng.normal(size=y.shape)
-            dx, (dw, db) = conv.backward(dy, cache)
+            dx, _ = conv.backward(dy, cache)
+            dw, db = conv.weight_grads(dy, cache)
             want_dx, want_dw, want_db = conv2d_backward_direct(x, conv.weight, stride, padding, dy)
             for got, want in ((dx, want_dx), (dw, want_dw), (db, want_db)):
                 assert got.shape == want.shape, f"case {case}"
@@ -350,7 +390,7 @@ class TestBackward:
             y, cache = conv.forward(x)
             # zeros and negative zeros as a ReLU mask and a pool leave them
             dy = rng.normal(size=y.shape) * rng.choice([0.0, -0.0, 1.0], size=y.shape)
-            dx, _ = conv.backward(dy, cache, param_grads=False)
+            dx, _ = conv.backward(dy, cache)
             want = conv2d_input_grad_by_windows(conv.weight, stride, padding, x.shape, dy)
             _assert_same_bytes(dx, want)
 
@@ -361,25 +401,12 @@ class TestBackward:
         x = rng.normal(size=(n, 7))
         y, cache = dense.forward(x)
         dy = rng.normal(size=y.shape)
-        dx, (dw, db) = dense.backward(dy, cache)
+        dx, _ = dense.backward(dy, cache)
+        dw, db = dense.weight_grads(dy, cache)
         want_dx, want_dw, want_db = dense_backward_direct(x, dense.weight, dy)
         for got, want in ((dx, want_dx), (dw, want_dw), (db, want_db)):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-10
-
-    def test_without_param_grads_dx_bytes_are_unchanged(self):
-        rng = np.random.default_rng(12)
-        for seed in range(6):
-            model, img = random_small_model(200 + seed)
-            x = nn.normalize_images(model.pixel_norm, np.stack([img, img[::-1], img[:, ::-1]]))
-            logits, caches = nn.forward_batch(nn.plan(model), x)
-            d_full = d_only = rng.normal(size=logits.shape)
-            for layer, cache in reversed(caches):
-                d_full, grads = layer.backward(d_full, cache)
-                d_only, no_grads = layer.backward(d_only, cache, param_grads=False)
-                assert no_grads is None
-                assert (grads is None) == (layer.kind not in ("conv2d", "dense"))
-                _assert_same_bytes(d_only, d_full)
 
     def test_driver_weight_grads_match_each_step_and_skip_input_gradient(self):
         rng = np.random.default_rng(13)
@@ -392,14 +419,11 @@ class TestBackward:
             assert dx is None
             want = []
             for layer, cache in reversed(caches):
-                d, step_grads = layer.backward(d, cache)
-                if step_grads is not None:
-                    want.append((layer, step_grads))
+                if hasattr(layer, "weight_grads"):
+                    want.append((layer, layer.weight_grads(d, cache)))
+                d, _ = layer.backward(d, cache)
             assert [layer for layer, _ in grads] == [layer for layer, _ in want]
-            for (layer, (dw, db)), (_, (want_dw, want_db)) in zip(grads, want):
-                if layer.kind == "conv2d":  # per-sample stacks, which backward sums
-                    assert dw.shape == (len(x), *layer.weight.shape)
-                    dw, db = dw.sum(axis=0), db.sum(axis=0)
+            for (_, (dw, db)), (_, (want_dw, want_db)) in zip(grads, want):
                 _assert_same_bytes(dw, want_dw)
                 _assert_same_bytes(db, want_db)
 
@@ -440,14 +464,15 @@ class TestInputGradientCaches:
         x = rng.normal(size=(2, 3, 6, 7))
         y, cache = conv.forward(x)
         dy = rng.normal(size=y.shape)
-        dx, (dw, db) = conv.backward(dy, cache)
+        dx, _ = conv.backward(dy, cache)
+        dw, db = conv.weight_grads(dy, cache)
         want_dx, want_dw, want_db = conv2d_backward_direct(x, conv.weight, 1, 1, dy)
         for got, want in ((dx, want_dx), (dw, want_dw), (db, want_db)):
             assert np.max(np.abs(got - want)) <= 1e-10
-        y_input, cache_input = conv.forward(x, param_grads=False)
+        y_input, cache_input = conv.forward(x, "input")
         _assert_same_bytes(y_input, y)
         assert cache_input == (x.shape,)
-        _assert_same_bytes(conv.backward(dy, cache_input, param_grads=False)[0], dx)
+        _assert_same_bytes(conv.backward(dy, cache_input)[0], dx)
 
 
 class TestSoftmax:
@@ -635,7 +660,7 @@ class TestBitCanary:
         model, rng = _reference_with_random_head()
         images = [np.floor(rng.uniform(0, 256, (64, 64, 3))) for _ in range(2)]
         images.append(constant_image(64, 64, 0.0))  # every pool window tied
-        assert _digest(_step_bytes(model, images, 5)) == "820219b89769ef9b"
+        assert _digest(_step_bytes(model, images, 5)) == "820219b89769ef9b", blas_kernel_note()
 
     @pytest.mark.parametrize(
         "seed, digest",
@@ -647,11 +672,11 @@ class TestBitCanary:
         model, image = random_small_model(seed)
         rng = np.random.default_rng(seed)
         images = [image] + [np.floor(rng.uniform(0, 256, image.shape)) for _ in range(3)]
-        assert _digest(_step_bytes(model, images, seed % model.num_classes)) == digest
+        assert _digest(_step_bytes(model, images, seed % model.num_classes)) == digest, blas_kernel_note()
 
     def test_forty_step_optimization_image_id(self):
         model, _ = _reference_with_random_head()
         config = OptimConfig(q_target=0.999999, max_inner_steps=40)
         image, steps = optimize_to_confidence(model, constant_image(64, 64, 0.0), 2, config)
         assert steps == 40
-        assert image_id(image) == "3a3ed164e42500a1"
+        assert image_id(image) == "3a3ed164e42500a1", blas_kernel_note()

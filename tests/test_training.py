@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import clear_blas_thread_vars
+from helpers import blas_kernel_note, clear_blas_thread_vars
 
 from tivis import parallel, training
 from tivis.errors import TrainingDivergedError
@@ -356,4 +356,4 @@ class TestReferenceRun:
         # change breaks the bit-reproducibility contract
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "d954df44890dfc54a118b940845ab037005e75867c8dcc8b70b37e711ae770ec"
-        )
+        ), blas_kernel_note()
