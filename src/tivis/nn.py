@@ -175,7 +175,8 @@ class Conv2d:
             )
         # the flat rows of backward's buffers: dy padded, the taps' columns
         # and the strided input gradient
-        flat = max(oc, kh * kw * ic, self.stride * ic) * (ho + kh) * wp
+        rows = _col2im_rows(h, ho, kh, self.stride, self.padding)
+        flat = max(oc, kh * kw * ic, self.stride * ic) * rows * wp
         for what, values in (
             ("padded input", ic * hp * wp),
             ("im2col columns", ic * kh * kw * ho * wo),
@@ -219,9 +220,9 @@ class Conv2d:
         oc, ic, kh, kw = self.weight.shape
         s, p = self.stride, self.padding
         ho, wo = dy.shape[2], dy.shape[3]
-        rows, wp = ho + kh, w + 2 * p
+        rows, wp = _col2im_rows(h, ho, kh, s, p), w + 2 * p
         # col2im on flat rows of the padded width wp: with dy padded by zero
-        # columns to wp and zero rows to ho + kh, output (i, j) of tap (ki, kj)
+        # columns to wp and zero rows below, output (i, j) of tap (ki, kj)
         # lands at flat s * (i * wp + j) + ki * wp + kj of its channel's block
         # of s * rows * wp. The dcols rows run (tap, channel), so each tap adds
         # one flat slice across all channels of a sample, in (ki, kj) order;
@@ -245,6 +246,13 @@ class Conv2d:
         n, oc = dy.shape[:2]
         dw = np.matmul(dy.reshape(n, oc, -1), cache[1].transpose(0, 2, 1)).sum(axis=0)
         return dw.reshape(self.weight.shape), dy.sum(axis=(0, 2, 3))
+
+
+def _col2im_rows(h: int, ho: int, kh: int, s: int, p: int) -> int:
+    """The rows dy is padded to for Conv2d.backward's flat col2im: enough that
+    the s * rows input-gradient rows hold every tap's last row, s * (ho - 1) +
+    kh - 1, and the input's, p + h - 1."""
+    return max(ho - 1 + -(-kh // s), -(-(h + p) // s))
 
 
 @dataclass

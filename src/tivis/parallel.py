@@ -12,8 +12,9 @@ and the results are pickled. The first item that raises, or a helper that
 dies, raises in the caller at once, and no helper outlives the call. One
 plan gives the workers and the pin for n items: ``fork_map`` asks it for
 its items, a ``Helper`` for two. Where it gives one worker, ``fn(x)`` runs
-in-process, a ``Helper``'s at ``submit``. ``visualize`` runs its batteries
-on a ``Helper``, and ``train`` and ``evaluate`` each batch's trunk on two.
+in-process, a ``Helper``'s when its result is taken. ``visualize`` runs its
+optimization passes on a ``Helper``, and ``train`` and ``evaluate`` each
+batch's trunk on two.
 ``pin_blas_threads()`` gives the calling process the helpers' pin.
 """
 
@@ -141,29 +142,26 @@ def _serve(fn, conn, callers_end, pin) -> None:
             item = conn.recv()
         except EOFError:  # the caller closed its end
             return
-        conn.send(_outcome(fn, item))
-
-
-def _outcome(fn, item):
-    """(True, fn(item)), or (False, the exception it raised) for the caller to raise."""
-    try:
-        return True, fn(item)
-    except Exception as exc:
-        return False, exc
+        try:
+            outcome = True, fn(item)
+        except Exception as exc:  # for the caller to raise
+            outcome = False, exc
+        conn.send(outcome)
 
 
 class Helper:
     """fn(x) for one item at a time, in a forked process beside the caller.
 
-    submit(x) starts fn(x), or computes it when the helper runs in-process;
-    ready() tells whether it has finished; result() returns fn(x), waiting
-    for it, or raises what fn raised. Use it as a context manager: the
-    process has exited when the block ends.
+    submit(x) hands it x, and result() returns fn(x), waiting for it, or
+    raises what fn raised. A forked helper starts fn(x) at submit; one that
+    runs in-process computes it in result(). Use it as a context manager:
+    the process has exited when the block ends, and an item whose result
+    was not taken is dropped.
     """
 
     def __init__(self, fn):
         self._fn = fn
-        self._conn = self._process = self._outcome = None
+        self._conn = self._process = self._item = None
         self._pending = False  # an item was sent and its outcome not yet taken in
 
     def __enter__(self):
@@ -187,32 +185,26 @@ class Helper:
             self._process.join()
 
     def submit(self, item) -> None:
-        """Start fn(item); the previous item's result must have been taken in."""
+        """Hand over item; the previous item's result must have been taken."""
         if self._conn is None:
-            self._outcome = _outcome(self._fn, item)
+            self._item = item
         else:
-            self._pending, self._outcome = True, None
+            self._pending = True
             self._conn.send(item)
 
     def fileno(self) -> int:  # a forked helper's pipe, for multiprocessing.connection.wait
         return self._conn.fileno()
 
-    def ready(self) -> bool:
-        if self._pending and self._conn.poll():
-            self._take()
-        return not self._pending
-
     def result(self):
-        if self._pending:
-            self._take()
-        ok, value = self._outcome
-        if not ok:
-            raise value
-        return value
-
-    def _take(self) -> None:
+        """fn(item) of the last item submitted, taken once."""
+        if self._conn is None:
+            item, self._item = self._item, None
+            return self._fn(item)
         try:
-            self._outcome = self._conn.recv()
+            ok, value = self._conn.recv()
         except EOFError:
             raise RuntimeError("the helper process exited without a result") from None
         self._pending = False
+        if not ok:
+            raise value
+        return value

@@ -17,12 +17,14 @@ Each inner pass restarts plain gradient ascent from the transformed image;
 no state carries over between passes.
 
 A battery only decides whether to stop: the next pass starts from the
-transformed image whatever the battery finds. So each battery goes to a
-``parallel.Helper`` and the next pass starts at once; before each gradient
-step the pass asks whether the battery has come back, and it is dropped if
-the battery passed. A helper that runs in-process computes the battery at
-submit, before the next pass starts, as the loop run in sequence does.
-Either way the records, the status and the image are the bits of that loop.
+transformed image whatever the battery finds. So the passes run on a
+``parallel.Helper``, and the caller submits the next pass before it runs the
+battery on the last one. When the battery converges, the next pass's result
+is never taken, and the helper drops it; otherwise taking it raises what the
+pass raised, where the loop run in sequence would have raised it. A helper
+that runs in-process computes a pass only when its result is taken, so it
+runs the passes and batteries of that loop in their order. Either way the
+records, the status and the image are the bits of that loop.
 """
 
 from __future__ import annotations
@@ -113,17 +115,14 @@ def optimize_to_confidence(model, image, target_class, config: OptimConfig):
     return img, steps
 
 
-def _optimize(model, image, target_class, config: OptimConfig, abandon=None):
-    """(image, steps, q) of one pass; None once abandon(), asked before each
-    gradient evaluation, returns True."""
+def _optimize(model, image, target_class, config: OptimConfig):
+    """(image, steps, q) of one pass."""
     # one check per pass; the steps hold the image in the gradient's (3, H, W)
     # layout, and each step operation is elementwise, so the bits are as in (H, W, 3)
     x = np.ascontiguousarray(check_input(model, image).transpose(2, 0, 1))
     target = model.class_index(target_class)
     steps = 0
     while True:
-        if abandon is not None and abandon():
-            return None
         q, g = gradient_step(model, x, target, config.objective)
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError(steps)
@@ -166,33 +165,25 @@ def visualize(
         confs = np.array([c for _, c in run_battery(model, image, target, schedule.battery)])
         return float(confs.min()), float(confs.mean())
 
+    def next_pass(job):  # (image, spec): a pass from the transformed image, or from image
+        image, spec = job
+        start = image if spec is None else apply_transform(image, spec)
+        return _optimize(model, start, target, config)
+
     records = []
-    with Helper(battery) as helper:
-
-        def battery_passed():
-            return helper.result()[0] >= stop.q_test
-
-        optimized, inner, q = _optimize(model, clamp(np.asarray(init, dtype=np.float64)), target, config)
+    with Helper(next_pass) as helper:
+        helper.submit((clamp(np.asarray(init, dtype=np.float64)), None))
         for index in range(stop.max_outer_iterations):
-            helper.submit(optimized)
-            spec = following = None
+            optimized, inner, q = helper.result()
+            spec = None
             if index < last:
                 spec = schedule.steps[index % len(schedule.steps)]
-                try:
-                    following = _optimize(
-                        model, apply_transform(optimized, spec), target, config,
-                        abandon=lambda: helper.ready() and battery_passed(),
-                    )
-                except Exception:  # a pass the sequential loop would not have run
-                    if not battery_passed():
-                        raise
-            bmin, bmean = helper.result()
+                helper.submit((optimized, spec))
+            bmin, bmean = battery(optimized)
             if bmin >= stop.q_test:
                 records.append(IterationRecord(index, None, inner, q, bmin, bmean))
                 return optimized, RunTrace(records=records, status=STATUS_CONVERGED)
             records.append(IterationRecord(index, spec, inner, q, bmin, bmean))
-            if following is not None:
-                optimized, inner, q = following
     # Not converged: report whether the inner loop or the outer budget bound us.
     status = (
         STATUS_INNER_CAP

@@ -552,10 +552,10 @@ OVERSIZED_MODELS = {
         "layer 0 (conv2d): conv2d im2col columns of 78030000 values per image "
         f"exceeds the limit {MAX_VALUES}",
     ),
-    # one output value, but the input gradient's strided flat rows
+    # one output value, but the input gradient's strided flat row: stride * ic * wp
     "conv stride": (
         "4 4", "out=1 kh=1 kw=1 stride=10000000 pad=0",
-        "layer 0 (conv2d): conv2d input-gradient buffer of 240000000 values per image "
+        "layer 0 (conv2d): conv2d input-gradient buffer of 120000000 values per image "
         f"exceeds the limit {MAX_VALUES}",
     ),
 }

@@ -377,7 +377,7 @@ class TestBackward:
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     @pytest.mark.parametrize("padding", [0, 1, 2])
-    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 2, 3, 5])
     def test_conv_input_grad_has_the_window_loop_bits(self, stride, padding, n):
         rng = np.random.default_rng(1000 + 100 * stride + 10 * padding + n)
         for case in range(4):
@@ -393,6 +393,22 @@ class TestBackward:
             dx, _ = conv.backward(dy, cache)
             want = conv2d_input_grad_by_windows(conv.weight, stride, padding, x.shape, dy)
             _assert_same_bytes(dx, want)
+
+    def test_conv_backward_at_a_large_stride_peaks_below_2_mb(self):
+        # dy padded to ho + kh rows made the strided buffer 6.2 MB; the
+        # stride * ic * wp values of its one row are the floor, 1.5 MB
+        rng = np.random.default_rng(16)
+        conv = nn.Conv2d(weight=rng.normal(size=(12, 3, 3, 3)), bias=np.zeros(12), stride=1000)
+        y, cache = conv.forward(rng.normal(size=(1, 3, 64, 64)), "input")
+        dy = rng.normal(size=y.shape)
+        conv.backward(dy, cache)
+        tracemalloc.start()
+        try:
+            conv.backward(dy, cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_dense_matches_scalar_oracle(self, n):

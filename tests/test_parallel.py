@@ -148,31 +148,21 @@ class TestHelper:
             for x in range(4):
                 helper.submit(x)
                 got.append(helper.result())
-                assert helper.ready()  # a taken result stays ready
         assert [r for r, _ in got] == [x + offset for x in range(4)]
         pids = {pid for _, pid in got}
         assert (pids == {os.getpid()}) == (cpus == 1)
         assert multiprocessing.active_children() == []
 
-    def test_in_process_computes_at_submit(self, monkeypatch, two_workers):
+    def test_in_process_computes_at_result(self, monkeypatch, two_workers):
         monkeypatch.setattr(P, "_usable_cpus", lambda: 1)
         calls = []
-        with P.Helper(calls.append) as helper:
-            assert calls == []
+        with P.Helper(lambda x: calls.append(x) or 2 * x) as helper:
             helper.submit(5)
+            assert calls == []
+            assert helper.result() == 10
             assert calls == [5]
-            assert helper.ready()
-            assert helper.result() is None
+            helper.submit(6)  # a result never taken is never computed
         assert calls == [5]
-
-    def test_forked_ready_waits_for_nothing(self, two_workers):
-        with P.Helper(lambda x: time.sleep(x) or x) as helper:
-            helper.submit(0.5)
-            t0 = time.perf_counter()
-            assert not helper.ready()
-            assert time.perf_counter() - t0 < 0.25
-            assert helper.result() == 0.5
-            assert helper.ready()
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_exception_reaches_the_caller(self, monkeypatch, two_workers, cpus):

@@ -227,31 +227,46 @@ _SPECULATION_CASES = {
 }
 
 
+class _CallLog:
+    """(pid, kind) of each call of the functions it wraps, in call order, kept
+    in a file that a forked helper appends to as well."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def wrap(self, kind, fn):
+        def logged(*args):
+            with open(self.path, "a") as f:
+                f.write(f"{os.getpid()} {kind}\n")
+            return fn(*args)
+
+        return logged
+
+    def calls(self, kind=None):
+        lines = self.path.read_text().splitlines() if self.path.exists() else []
+        calls = [(int(pid), k) for pid, k in map(str.split, lines)]
+        return [c for c in calls if kind in (None, c[1])]
+
+    def take(self):
+        """The calls so far; empties the log."""
+        calls = self.calls()
+        self.path.unlink(missing_ok=True)
+        return calls
+
+
 @pytest.fixture
-def battery_pids(monkeypatch, tmp_path):
-    """Wraps the battery to log the pid of each run; returns a reader that
-    empties the log.
+def call_log(monkeypatch, tmp_path):
+    """Wraps the gradient step and the battery to log each call with the pid
+    of the process that made it.
 
     One BLAS thread is set, so the helper forks when two CPUs are usable.
     """
     clear_blas_thread_vars(monkeypatch)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    log = tmp_path / "battery_pids"
-    real = viz.run_battery
-
-    def logged(*args):
-        with open(log, "a") as f:  # the helper process writes here too
-            f.write(f"{os.getpid()}\n")
-        return real(*args)
-
-    monkeypatch.setattr(viz, "run_battery", logged)
-
-    def read():
-        pids = {int(line) for line in log.read_text().split()}
-        log.unlink()
-        return pids
-
-    return read
+    log = _CallLog(tmp_path / "calls")
+    monkeypatch.setattr(viz, "gradient_step", log.wrap("step", viz.gradient_step))
+    monkeypatch.setattr(viz, "run_battery", log.wrap("battery", viz.run_battery))
+    return log
 
 
 def _use_cpus(monkeypatch, cpus):
@@ -259,10 +274,11 @@ def _use_cpus(monkeypatch, cpus):
 
 
 class TestForkedBattery:
-    """visualize runs each battery in a forked helper while the next pass starts."""
+    """visualize runs its passes in a forked helper and each battery in the
+    caller, beside the next pass."""
 
     @pytest.mark.parametrize("status", sorted(_SPECULATION_CASES))
-    def test_forked_battery_gives_the_in_process_bits(self, monkeypatch, battery_pids, status):
+    def test_forked_passes_give_the_in_process_bits(self, monkeypatch, call_log, status):
         seed, config, stop = _SPECULATION_CASES[status]
         model, image = random_small_model(seed)
         runs = {}
@@ -270,55 +286,71 @@ class TestForkedBattery:
             _use_cpus(monkeypatch, cpus)
             runs[cpus] = visualize(model, 0, image, _SPECULATION_SCHEDULE, config, stop)
             assert multiprocessing.active_children() == []
-            pids = battery_pids()
-            assert (pids == {os.getpid()}) == (cpus == 1), "the battery ran in the wrong process"
+            calls = call_log.take()
+            step_pids = {pid for pid, kind in calls if kind == "step"}
+            assert {pid for pid, kind in calls if kind == "battery"} == {os.getpid()}
+            if cpus == 1:
+                assert step_pids == {os.getpid()}
+            else:
+                assert len(step_pids) == 1 and os.getpid() not in step_pids, "a step ran in the caller"
         (alone, alone_trace), (forked, forked_trace) = runs[1], runs[2]
         assert alone_trace.status == forked_trace.status == status
         assert alone.tobytes() == forked.tobytes()
         assert [repr(r) for r in alone_trace.records] == [repr(r) for r in forked_trace.records]
         if status == "converged":
-            assert len(forked_trace.records) > 1  # a speculative pass was dropped
+            assert len(forked_trace.records) > 1  # a submitted pass was dropped
+
+    @pytest.mark.parametrize("status", sorted(_SPECULATION_CASES))
+    def test_in_process_runs_the_sequential_loops_calls(self, monkeypatch, call_log, status):
+        # each pass's steps, then its battery; a converged battery leaves the
+        # next pass uncomputed
+        seed, config, stop = _SPECULATION_CASES[status]
+        model, image = random_small_model(seed)
+        _use_cpus(monkeypatch, 1)
+        _, trace = visualize(model, 0, image, _SPECULATION_SCHEDULE, config, stop)
+        assert trace.status == status
+        want = [k for r in trace.records for k in ["step"] * (r.inner_steps + 1) + ["battery"]]
+        assert call_log.take() == [(os.getpid(), k) for k in want]
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_failing_pass_after_a_converged_battery_returns(self, monkeypatch, battery_pids, cpus):
+    def test_failing_pass_after_a_converged_battery_returns(self, monkeypatch, call_log, cpus):
         seed, config, stop = _SPECULATION_CASES["converged"]
         model, image = random_small_model(seed)
         _use_cpus(monkeypatch, 1)
         want_image, want = visualize(model, 0, image, _SPECULATION_SCHEDULE, config, stop)
         sequential_steps = sum(r.inner_steps + 1 for r in want.records)
+        call_log.take()
 
         _use_cpus(monkeypatch, cpus)
-        calls = {"n": 0}
-        real_step, real_battery = nn.gradient_step, viz.run_battery
+        real_battery = viz.run_battery
 
-        def step(*args):
-            calls["n"] += 1
-            if calls["n"] > sequential_steps:  # the pass after the converged battery
+        def step(*args):  # the log counts the steps of every process, this one's included
+            if len(call_log.calls("step")) > sequential_steps:  # the pass after the converged battery
                 return 0.5, np.full_like(args[1], np.nan)
-            return real_step(*args)
+            return nn.gradient_step(*args)
 
-        def slow_battery(*args):  # in the helper: the pass fails before it returns
+        def slow_battery(*args):  # in the caller: the pass fails before it returns
             time.sleep(0.2)
             return real_battery(*args)
 
-        monkeypatch.setattr(viz, "gradient_step", step)
+        monkeypatch.setattr(viz, "gradient_step", call_log.wrap("step", step))
         monkeypatch.setattr(viz, "run_battery", slow_battery)
         got_image, got = visualize(model, 0, image, _SPECULATION_SCHEDULE, config, stop)
         assert multiprocessing.active_children() == []
         assert got_image.tobytes() == want_image.tobytes()
         assert got.status == "converged" and got.records == want.records
-        # forked, the failing pass ran; in-process the battery came first
-        assert calls["n"] == sequential_steps + (cpus == 2)
+        # forked, the failing pass ran; in-process it was never computed
+        assert len(call_log.calls("step")) == sequential_steps + (cpus == 2)
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_battery_error_reaches_the_caller(self, monkeypatch, battery_pids, cpus):
+    def test_battery_error_reaches_the_caller(self, monkeypatch, call_log, cpus):
         seed, config, stop = _SPECULATION_CASES["iteration_cap"]
         model, image = random_small_model(seed)
         _use_cpus(monkeypatch, cpus)
         calls = {"n": 0}
         real = viz.run_battery
 
-        def failing(*args):  # runs in the helper: the count is per process
+        def failing(*args):  # runs in the caller
             calls["n"] += 1
             if calls["n"] == 2:
                 raise NonFiniteError("layer 4 (dense) produced non-finite values")
@@ -332,30 +364,64 @@ class TestForkedBattery:
         assert multiprocessing.active_children() == []
 
     def test_failing_pass_before_a_failing_battery_raises_the_battery_error(
-        self, monkeypatch, battery_pids
+        self, monkeypatch, call_log
     ):
         # the sequential loop would have raised the battery's error first
         seed, config, stop = _SPECULATION_CASES["iteration_cap"]
         model, image = random_small_model(seed)
         _use_cpus(monkeypatch, 2)
-        calls = {"n": 0}
-        real_step = nn.gradient_step
 
         def step(*args):
-            calls["n"] += 1
-            if calls["n"] > config.max_inner_steps + 1:  # the second pass
+            if len(call_log.calls("step")) > config.max_inner_steps + 1:  # past the first pass
                 return 0.5, np.full_like(args[1], np.inf)
-            return real_step(*args)
+            return nn.gradient_step(*args)
 
         def failing(*args):
             time.sleep(0.2)
             raise NonFiniteError("battery failed")
 
-        monkeypatch.setattr(viz, "gradient_step", step)
+        monkeypatch.setattr(viz, "gradient_step", call_log.wrap("step", step))
         monkeypatch.setattr(viz, "run_battery", failing)
         with pytest.raises(NonFiniteError, match="battery failed"):
             visualize(model, 0, image, _SPECULATION_SCHEDULE, config, stop)
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("status", ["converged", "iteration_cap"])
+    def test_a_helper_that_dies_mid_pass(self, monkeypatch, call_log, status):
+        # it dies in the pass after the first converged battery, which is not
+        # needed, or in the third pass, which is
+        seed, config, stop = _SPECULATION_CASES[status]
+        model, image = random_small_model(seed)
+        _use_cpus(monkeypatch, 1)
+        want_image, want = visualize(model, 0, image, _SPECULATION_SCHEDULE, config, stop)
+        passes = [r.inner_steps + 1 for r in want.records]
+        dies_after = sum(passes) if status == "converged" else sum(passes[:2]) + 1
+        call_log.take()
+
+        _use_cpus(monkeypatch, 2)
+        caller, real_battery = os.getpid(), viz.run_battery
+
+        def step(*args):
+            if len(call_log.calls("step")) > dies_after:
+                assert os.getpid() != caller, "a step ran in the caller"
+                os._exit(3)
+            return nn.gradient_step(*args)
+
+        def slow_battery(*args):  # the helper dies before the battery returns
+            time.sleep(0.2)
+            return real_battery(*args)
+
+        monkeypatch.setattr(viz, "gradient_step", call_log.wrap("step", step))
+        monkeypatch.setattr(viz, "run_battery", slow_battery)
+        if status == "converged":
+            got_image, got = visualize(model, 0, image, _SPECULATION_SCHEDULE, config, stop)
+            assert got_image.tobytes() == want_image.tobytes()
+            assert got.status == "converged" and got.records == want.records
+        else:
+            with pytest.raises(RuntimeError, match="the helper process exited without a result"):
+                visualize(model, 0, image, _SPECULATION_SCHEDULE, config, stop)
+        assert multiprocessing.active_children() == []
+        assert len(call_log.calls("step")) == dies_after + 1  # the last one never returned
 
 
 class TestBaseline:
