@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from . import entropy as entropy_mod
-from . import parallel
 from . import reports
 from .errors import TivisError
 from .model_io import load_model, save_model
@@ -47,9 +46,6 @@ from .visualizer import (
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # one command per process: the N=1 step's matrices are too small for a
-    # second BLAS thread, which would only take the helpers' CPU
-    parallel.pin_blas_threads()
     try:
         _check_outputs(args)
         # an overflow is reported once, as the NonFiniteError it leads to,
@@ -310,13 +306,13 @@ def _cmd_baseline(args) -> int:
     target = _resolve_class(model, args.target_class)
     init = _load_init(model, args.init)
     config = _optim_config(args)
+    battery = None if args.battery is None else parse_transform_list(args.battery)
     image = baseline_visualize(model, target, init, config)
     if args.out is not None:
         write_ppm(image, args.out)
     pred = forward(model, image)
     print(f"confidence {float(pred.confidences[target])!r}")
-    if args.battery is not None:
-        battery = parse_transform_list(args.battery)
+    if battery is not None:
         results = run_battery(model, image, target, battery)
         confs = np.array([c for _, c in results])
         print(f"battery_min {float(confs.min())!r} battery_mean {float(confs.mean())!r}")

@@ -94,7 +94,7 @@ def entropy2d(co: CoMatrix) -> float:
     if co.total <= 0:
         raise ValueError("co-occurrence total must be positive")
     p = co.counts[co.counts > 0] / co.total
-    return float(-np.sum(p * np.log2(p)))
+    return float(0.0 - np.sum(p * np.log2(p)))  # a single pair gives +0.0, not -0.0
 
 
 @dataclass

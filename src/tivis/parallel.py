@@ -3,26 +3,25 @@
 ``Helper(fn)`` computes ``fn(x)`` for one item at a time in a forked process
 beside the caller, which goes on with its own work meanwhile.
 ``fork_map(fn, items)`` returns ``[fn(x) for x in items]``, computed on
-``min(len(items), usable CPUs // BLAS threads per worker)`` helpers; each
-idle helper takes the next item. ``taskset`` restricts the usable CPUs. The
-BLAS threads per worker are the count the user set, or one when none is
-set: each helper then sets OpenBLAS to one thread, which would otherwise run
-a thread per CPU in every process. Helpers inherit ``fn``, so only the items
-and the results are pickled. The first item that raises, or a helper that
-dies, raises in the caller at once, and no helper outlives the call. One
-plan gives the workers and the pin for n items: ``fork_map`` asks it for
-its items, a ``Helper`` for two. Where it gives one worker, ``fn(x)`` runs
-in-process, a ``Helper``'s when its result is taken. ``visualize`` runs its
-optimization passes on a ``Helper``, and ``train`` and ``evaluate`` each
-batch's trunk on two.
-``pin_blas_threads()`` gives the calling process the helpers' pin.
+``min(len(items), usable CPUs // BLAS threads)`` helpers; each idle helper
+takes the next item. ``taskset`` restricts the usable CPUs. Importing this
+module decides the BLAS threads of the process once, as OpenBLAS reads its
+own variables once when it loads: the count the user set, or else one,
+pinned through OpenBLAS's setter, since OpenBLAS would otherwise run a
+thread per CPU in every process. Every helper inherits that setting, and
+``fn``, so only the items and the results are pickled. The first item that
+raises, or a helper that dies, raises in the caller at once, and no helper
+outlives the call. One plan gives the workers for n items: ``fork_map``
+asks it for its items, a ``Helper`` for two. Where it gives one worker,
+``fn(x)`` runs in-process, a ``Helper``'s when its result is taken.
+``visualize`` runs its optimization passes on a ``Helper``, and ``train``
+and ``evaluate`` each batch's trunk on two.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
-import functools
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -35,17 +34,6 @@ import numpy as np
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
 _OPENBLAS_CORENAMES = ("scipy_openblas_get_corename64_", "openblas_get_corename")
-
-
-def _user_blas_threads() -> int | None:
-    """The count set through the environment, or None; 0 if not a positive count."""
-    for var in BLAS_THREAD_VARS:
-        if var in os.environ:
-            try:
-                return max(int(os.environ[var].split(",")[0]), 0)
-            except ValueError:
-                return 0
-    return None
 
 
 def _openblas_function(names: tuple, argtypes: tuple, restype):
@@ -65,10 +53,25 @@ def _openblas_function(names: tuple, argtypes: tuple, restype):
     return None
 
 
-@functools.cache
-def _openblas_thread_setter():
-    """OpenBLAS's set-num-threads function, or None."""
-    return _openblas_function(_OPENBLAS_SETTERS, (ctypes.c_int,), None)
+def _blas_threads() -> int:
+    """The BLAS threads of this process and its helpers: the count the user
+    set, never overridden (0 if not a positive count, which is a thread per
+    CPU), or else 1, pinned through OpenBLAS's setter (0 without it)."""
+    for var in BLAS_THREAD_VARS:
+        if var in os.environ:
+            try:
+                return max(int(os.environ[var].split(",")[0]), 0)
+            except ValueError:
+                return 0
+    setter = _openblas_function(_OPENBLAS_SETTERS, (ctypes.c_int,), None)
+    if setter is None:
+        return 0
+    setter(1)
+    return 1
+
+
+# decided once, at import; each helper the process forks inherits it
+_BLAS_THREADS = _blas_threads()
 
 
 def openblas_corename() -> str | None:
@@ -82,36 +85,23 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _plan(n_items: int):
-    """(workers for n_items, the setter each worker calls with 1, or None).
+def _plan(n_items: int) -> int:
+    """The workers for n_items; one runs in-process.
 
-    One worker runs in-process. A worker takes the user's BLAS count, which
-    is never overridden (0 is a thread per CPU), or else one pinned thread.
-    Without fork the workers could not inherit fn, and a daemonic process
-    may not start children.
+    A worker runs the process's BLAS threads, so none fork where that is a
+    thread per CPU. Without fork the workers could not inherit fn, and a
+    daemonic process may not start children.
     """
-    threads, pin = _user_blas_threads(), None
-    if threads is None:
-        pin = _openblas_thread_setter()
-        threads = 0 if pin is None else 1
     forkable = "fork" in multiprocessing.get_all_start_methods()
-    if not threads or not forkable or multiprocessing.current_process().daemon:
-        return 1, pin
-    return max(1, min(n_items, _usable_cpus() // threads)), pin
-
-
-def pin_blas_threads() -> None:
-    """Set the calling process's OpenBLAS to one thread when no thread
-    variable is set, as each helper does; a count the user set stays."""
-    _, pin = _plan(1)
-    if pin is not None:
-        pin(1)
+    if not _BLAS_THREADS or not forkable or multiprocessing.current_process().daemon:
+        return 1
+    return max(1, min(n_items, _usable_cpus() // _BLAS_THREADS))
 
 
 def fork_map(fn, items) -> list:
     """[fn(x) for x in items], with the items spread over forked helpers."""
     items = list(items)
-    workers, _ = _plan(len(items))
+    workers = _plan(len(items))
     if workers == 1:
         return [fn(x) for x in items]
     results = [None] * len(items)
@@ -132,11 +122,9 @@ def fork_map(fn, items) -> list:
                 results[busy.pop(helper)] = helper.result()
 
 
-def _serve(fn, conn, callers_end, pin) -> None:
+def _serve(fn, conn, callers_end) -> None:
     """A helper process: answer each item with (True, fn(item)) or (False, exception)."""
     callers_end.close()  # the fork copied it; open here, it would hide the caller's close
-    if pin is not None:
-        pin(1)
     while True:
         try:
             item = conn.recv()
@@ -165,13 +153,12 @@ class Helper:
         self._pending = False  # an item was sent and its outcome not yet taken in
 
     def __enter__(self):
-        workers, pin = _plan(2)
-        if workers > 1:
+        if _plan(2) > 1:
             ctx = multiprocessing.get_context("fork")
             self._conn, child = ctx.Pipe()
             # fork does not pickle the target's arguments: the process inherits fn
             self._process = ctx.Process(
-                target=_serve, args=(self._fn, child, self._conn, pin), daemon=True
+                target=_serve, args=(self._fn, child, self._conn), daemon=True
             )
             self._process.start()
             child.close()

@@ -234,41 +234,48 @@ def parse_transform_list(text: str) -> tuple:
     """Parse the comma-separated mini-syntax: "rot:10x36,flip:h,scale:0.9".
 
     "rot:AxN" repeats rotate(A) N times; the suffix also works for flip and
-    scale. "rot-sweep:S" expands to rotations 0, S, 2S, ... below 360.
+    scale. "rot-sweep:S" expands to rotations 0, S, 2S, ... below 360. A
+    malformed part is a ValueError that names it.
     """
     specs = []
     for part in text.split(","):
         part = part.strip()
-        if not part:
-            continue
-        if ":" not in part:
-            raise ValueError(f"bad transform spec {part!r}: expected kind:value")
-        kind, value = part.split(":", 1)
-        kind = kind.strip().lower()
-        value = value.strip()
-        if kind == "rot-sweep":
-            specs.extend(rotation_sweep(float(value)))
-            continue
-        repeat = 1
-        if "x" in value:
-            value, count = value.rsplit("x", 1)
-            repeat = int(count)
-            if not 1 <= repeat <= MAX_TRANSFORMS:
-                raise ValueError(f"repeat count must be in [1, {MAX_TRANSFORMS}] in {part!r}")
-        if kind == "rot":
-            spec = TransformSpec.rotation(float(value))
-        elif kind == "flip":
-            spec = TransformSpec.mirror({"h": "horizontal", "v": "vertical"}.get(value, value))
-        elif kind == "scale":
-            spec = TransformSpec.zoom(float(value))
-        else:
-            raise ValueError(f"unknown transform kind {kind!r} in {part!r}")
-        specs.extend([spec] * repeat)
+        if part:
+            try:
+                specs.extend(_parse_part(part))
+            except ValueError as exc:
+                raise ValueError(f"bad transform spec {part!r}: {exc}") from None
     if not specs:
         raise ValueError(f"no transforms found in {text!r}")
     if len(specs) > MAX_TRANSFORMS:
         raise ValueError(f"{text!r} expands to more than {MAX_TRANSFORMS} transforms")
     return tuple(specs)
+
+
+def _parse_part(part: str) -> tuple:
+    """The transforms of one part of a transform list."""
+    if ":" not in part:
+        raise ValueError("expected kind:value")
+    kind, value = part.split(":", 1)
+    kind = kind.strip().lower()
+    value = value.strip()
+    if kind == "rot-sweep":
+        return rotation_sweep(float(value))
+    repeat = 1
+    if "x" in value:
+        value, count = value.rsplit("x", 1)
+        repeat = int(count)
+        if not 1 <= repeat <= MAX_TRANSFORMS:
+            raise ValueError(f"repeat count must be in [1, {MAX_TRANSFORMS}]")
+    if kind == "rot":
+        spec = TransformSpec.rotation(float(value))
+    elif kind == "flip":
+        spec = TransformSpec.mirror({"h": "horizontal", "v": "vertical"}.get(value, value))
+    elif kind == "scale":
+        spec = TransformSpec.zoom(float(value))
+    else:
+        raise ValueError(f"unknown transform kind {kind!r}")
+    return (spec,) * repeat
 
 
 DEFAULT_SCHEDULE_TEXT = "rot:10x36"

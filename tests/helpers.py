@@ -15,7 +15,8 @@ import math
 import numpy as np
 
 from tivis import nn
-from tivis.parallel import BLAS_THREAD_VARS, _openblas_thread_setter, openblas_corename
+from tivis import parallel
+from tivis.parallel import BLAS_THREAD_VARS, openblas_corename
 
 
 def blas_kernel_note() -> str:
@@ -407,10 +408,23 @@ def clear_blas_thread_vars(monkeypatch):
         monkeypatch.delenv(var, raising=False)
 
 
+def one_blas_thread(monkeypatch):
+    """Give the process the import-time count of one BLAS thread, so that
+    helpers fork when two CPUs are usable."""
+    monkeypatch.setattr(parallel, "_BLAS_THREADS", 1)
+
+
 def openblas_thread_functions():
-    """(set, get) of the loaded OpenBLAS's thread count; needs OpenBLAS."""
-    setter = _openblas_thread_setter()
+    """(set, get) of the loaded OpenBLAS's thread count, or None without OpenBLAS.
+
+    It needs only ctypes and numpy, so a subprocess can run its source
+    before it imports tivis.
+    """
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    getter = getattr(lib, setter.__name__.replace("set_", "get_"))
-    getter.restype = ctypes.c_int
-    return setter, getter
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+        setter = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+        if setter is not None:
+            getter = getattr(lib, f"{prefix}get_num_threads{suffix}")
+            getter.restype = ctypes.c_int
+            return setter, getter
+    return None

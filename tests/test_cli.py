@@ -373,6 +373,17 @@ def test_empty_flag_value_is_an_error(confident_model_file, capsys, argv, error)
     assert capsys.readouterr().err == f"error: {error}\n"
 
 
+def test_baseline_battery_is_parsed_before_the_optimization(tmp_path, confident_model_file, capsys):
+    out = tmp_path / "b.ppm"
+    argv = ["baseline", "--model", str(confident_model_file), "--class", "beta", "--max-inner", "1"]
+    code = main(argv + ["--out", str(out), "--battery", "rot-sweep:0.0001"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ValueError: bad transform spec 'rot-sweep:0.0001': ")
+    assert not out.exists()
+
+
 def test_classify_empty_variants_reported(confident_model_file, sample_ppm, capsys):
     code = main(["classify", "--model", str(confident_model_file), str(sample_ppm), "--variants", ","])
     assert code == 1

@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 
@@ -10,7 +11,7 @@ from helpers import (
     entropy_direct,
     entropy_of_gray_direct,
     luma_direct,
-    openblas_thread_functions,
+    one_blas_thread,
 )
 
 from tivis import entropy as E
@@ -110,6 +111,16 @@ class TestEntropy2d:
     def test_degenerate_distribution_zero(self):
         co = E.cooccurrence(np.full((4, 4), 10))
         assert E.entropy2d(co) == 0.0
+
+    def test_single_pair_is_positive_zero(self):
+        # -0.0 == 0.0, so only the sign tells them apart
+        gray = np.full((64, 64), 40)
+        assert math.copysign(1.0, E.entropy2d(E.cooccurrence(gray))) == 1.0
+        map_ = E.entropy_map(gray)
+        assert map_.values.shape == (3, 3)
+        assert (np.copysign(1.0, map_.values) == 1.0).all()
+        total, _ = E.second_order_entropy(map_)
+        assert math.copysign(1.0, total) == 1.0
 
     def test_uniform_over_power_of_two_bins_exact(self):
         for k in (1, 3, 6, 8):
@@ -370,9 +381,8 @@ class TestParallelSweep:
 
     def _two_workers(self, monkeypatch):
         monkeypatch.setattr(P, "_usable_cpus", lambda: 2)
-        clear_blas_thread_vars(monkeypatch)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert P._plan(len(self.levels)) == (2, None)
+        one_blas_thread(monkeypatch)
+        assert P._plan(len(self.levels)) == 2
 
     def test_workers_match_one_level_sweeps_and_in_process_report(self, monkeypatch):
         model, schedule, config, stop = self._setup()
@@ -389,7 +399,7 @@ class TestParallelSweep:
         ]
         assert pooled.records == alone
         monkeypatch.setattr(P, "_usable_cpus", lambda: 1)
-        assert P._plan(len(self.levels)) == (1, None)
+        assert P._plan(len(self.levels)) == 1
         in_process = E.init_sweep(model, 0, schedule, config, stop, gray_levels=self.levels)
         assert report(pooled) == report(in_process)
         assert pooled.best_init == in_process.best_init
@@ -408,28 +418,6 @@ class TestParallelSweep:
         pids = {int(r.error.split()[1]) for r in report.records}
         assert os.getpid() not in pids
         assert report.best_init is None
-
-    @pytest.mark.skipif(P._openblas_thread_setter() is None, reason="numpy without OpenBLAS")
-    def test_workers_pin_openblas_to_one_thread(self, monkeypatch):
-        model, schedule, config, stop = self._setup()
-        import tivis.visualizer as viz
-
-        setter, get_threads = openblas_thread_functions()
-
-        def report_threads(*args):
-            raise ValueError(f"threads {get_threads()}")
-
-        monkeypatch.setattr(viz, "visualize", report_threads)
-        monkeypatch.setattr(P, "_usable_cpus", lambda: 2)
-        clear_blas_thread_vars(monkeypatch)
-        before = get_threads()
-        setter(2)  # the workers inherit two threads and must drop to one
-        try:
-            report = E.init_sweep(model, 0, schedule, config, stop, gray_levels=self.levels)
-            assert get_threads() == 2  # the parent keeps its own count
-        finally:
-            setter(before)
-        assert {r.error for r in report.records} == {"threads 1"}
 
     def test_no_worker_outlives_an_unrecorded_failure(self, monkeypatch):
         model, schedule, config, stop = self._setup()
@@ -464,32 +452,33 @@ class TestParallelSweep:
     def test_worker_count_rule(self, monkeypatch, cpus, var, value, pin, levels, workers):
         monkeypatch.setattr(P, "_usable_cpus", lambda: cpus)
         setter = (lambda n: None) if pin else None
-        monkeypatch.setattr(P, "_openblas_thread_setter", lambda: setter)
+        monkeypatch.setattr(P, "_openblas_function", lambda *args: setter)
         clear_blas_thread_vars(monkeypatch)
         if var is not None:
             monkeypatch.setenv(var, value)
-        assert P._plan(levels) == (workers, setter if var is None else None)
+        monkeypatch.setattr(P, "_BLAS_THREADS", P._blas_threads())  # as at import
+        assert P._plan(levels) == workers
 
     @pytest.mark.parametrize("blocker", ["no fork", "daemon"])
     def test_no_workers_without_fork_or_in_a_daemon(self, monkeypatch, blocker):
         monkeypatch.setattr(P, "_usable_cpus", lambda: 4)
-        monkeypatch.setattr(P, "_openblas_thread_setter", lambda: lambda n: None)
-        clear_blas_thread_vars(monkeypatch)
-        assert P._plan(27)[0] == 4
+        one_blas_thread(monkeypatch)
+        assert P._plan(27) == 4
         if blocker == "no fork":
             monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         else:
             monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
-        assert P._plan(27)[0] == 1
+        assert P._plan(27) == 1
 
     @pytest.mark.parametrize("var", P.BLAS_THREAD_VARS)
     def test_blas_pin_leaves_a_user_setting_alone(self, monkeypatch, var):
         calls = []
         monkeypatch.setattr(P, "_usable_cpus", lambda: 6)
-        monkeypatch.setattr(P, "_openblas_thread_setter", lambda: calls.append)
+        monkeypatch.setattr(P, "_openblas_function", lambda *args: calls.append)
         clear_blas_thread_vars(monkeypatch)
         monkeypatch.setenv(var, "3")
-        assert P._plan(27) == (2, None)  # three threads per worker, unpinned
+        monkeypatch.setattr(P, "_BLAS_THREADS", P._blas_threads())  # as at import
+        assert P._plan(27) == 2 and calls == []  # three threads per worker, unpinned
         monkeypatch.delenv(var)
-        assert P._plan(27) == (6, calls.append)
-        assert calls == []  # the plan never changes the parent's own BLAS threads
+        monkeypatch.setattr(P, "_BLAS_THREADS", P._blas_threads())
+        assert P._plan(27) == 6 and calls == [1]  # else one, pinned

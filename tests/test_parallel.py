@@ -1,3 +1,4 @@
+import inspect
 import multiprocessing
 import os
 import subprocess
@@ -5,20 +6,20 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from helpers import clear_blas_thread_vars, openblas_thread_functions
+from helpers import one_blas_thread, openblas_thread_functions
 
-from tivis import cli
 from tivis import parallel as P
 from tivis.errors import NonFiniteGradientError
+from tivis.ppm import write_ppm
 
 
 @pytest.fixture
 def two_workers(monkeypatch):
     monkeypatch.setattr(P, "_usable_cpus", lambda: 2)
-    clear_blas_thread_vars(monkeypatch)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    one_blas_thread(monkeypatch)
 
 
 @pytest.mark.parametrize("n", [0, 1, 5])
@@ -53,6 +54,14 @@ def test_exception_propagates_and_no_worker_outlives_it(two_workers):
     assert multiprocessing.active_children() == []
 
 
+def _subprocess_env(**blas_vars):
+    """This environment without its BLAS thread variables, plus blas_vars, with tivis importable."""
+    env = {k: v for k, v in os.environ.items() if k not in P.BLAS_THREAD_VARS}
+    src = str(Path(P.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return {**env, **blas_vars}
+
+
 _DYING_WORKER = """
 import multiprocessing, os
 from tivis import parallel as P
@@ -64,11 +73,9 @@ except RuntimeError as exc:
 """
 
 
-def test_a_worker_that_dies_is_an_error(two_workers):
+def test_a_worker_that_dies_is_an_error():
     # in a subprocess, so that a map which waits for the dead worker times out
-    env = dict(os.environ)
-    src = str(Path(P.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _subprocess_env(OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-c", _DYING_WORKER], env=env, capture_output=True, text=True, timeout=60
     )
@@ -89,41 +96,62 @@ def test_first_failure_raises_without_waiting_for_the_rest(two_workers):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize(
-    "env, calls", [({}, [1]), ({"OPENBLAS_NUM_THREADS": "3"}, []), ({"OMP_NUM_THREADS": "1"}, [])]
+# gives OpenBLAS two threads before tivis is imported, as it starts on two
+# CPUs, then prints the threads of this process and of a forked Helper once
+# tivis is imported, and those of the tivis command run in this process
+_THREAD_PROBE = f"""
+import ctypes, os, sys
+import numpy as np
+{inspect.getsource(openblas_thread_functions)}
+set_threads, get_threads = openblas_thread_functions()
+set_threads(2)
+from tivis import cli, parallel
+imported = get_threads()
+parallel._usable_cpus = lambda: 64  # a Helper forks for any count below 32
+with parallel.Helper(lambda _: (get_threads(), os.getpid())) as helper:
+    helper.submit(None)
+    threads, pid = helper.result()
+assert pid != os.getpid()
+code = cli.main(sys.argv[1:])
+print(imported, threads, code, get_threads())
+"""
+
+
+def _probe_threads(tmp_path, **blas_vars) -> str:
+    write_ppm(np.zeros((4, 4, 3)), tmp_path / "in.ppm")
+    argv = ["invert", "--image", str(tmp_path / "in.ppm"), "--out", str(tmp_path / "out.ppm")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREAD_PROBE, *argv],
+        env=_subprocess_env(**blas_vars),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]  # after the command's own output
+
+
+needs_openblas = pytest.mark.skipif(
+    openblas_thread_functions() is None, reason="numpy without OpenBLAS"
 )
-def test_caller_pin_leaves_a_user_setting_alone(monkeypatch, tmp_path, env, calls):
-    recorded = []
-    monkeypatch.setattr(P, "_openblas_thread_setter", lambda: recorded.append)
-    clear_blas_thread_vars(monkeypatch)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
-    P.pin_blas_threads()
-    assert recorded == calls
-    # the CLI applies it once per command, before the command runs
-    recorded.clear()
-    argv = ["invert", "--image", str(tmp_path / "missing.ppm"), "--out", str(tmp_path / "x.ppm")]
-    assert cli.main(argv) == 1
-    assert recorded == calls
 
 
-def test_openblas_setter_is_found_once():
-    assert P._openblas_thread_setter() is P._openblas_thread_setter()
+@needs_openblas
+def test_importing_tivis_pins_every_process_to_one_thread(tmp_path):
+    # the importing process, a forked helper and the tivis command
+    assert _probe_threads(tmp_path) == "1 1 0 1"
 
 
-@pytest.mark.skipif(P._openblas_thread_setter() is None, reason="numpy without OpenBLAS")
-def test_workers_pin_openblas_to_one_thread(monkeypatch):
-    setter, get_threads = openblas_thread_functions()
-    monkeypatch.setattr(P, "_usable_cpus", lambda: 2)
-    clear_blas_thread_vars(monkeypatch)
-    before = get_threads()
-    setter(2)  # the workers inherit two threads and must drop to one
-    try:
-        threads = P.fork_map(lambda _: get_threads(), range(4))
-        assert get_threads() == 2  # the parent keeps its own count
-    finally:
-        setter(before)
-    assert threads == [1] * 4
+@needs_openblas
+@pytest.mark.parametrize("var", P.BLAS_THREAD_VARS)
+def test_a_user_setting_is_never_overridden(tmp_path, var):
+    assert _probe_threads(tmp_path, **{var: "3"}) == "2 2 0 2"
+
+
+def test_a_variable_set_after_import_is_not_read(monkeypatch, two_workers):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")  # a thread per CPU, which forks no helper
+    assert P._plan(2) == 2
+    assert P.fork_map(lambda _: os.getpid(), range(2)) != [os.getpid()] * 2
 
 
 def test_worker_exception_keeps_its_message(two_workers):
@@ -204,19 +232,3 @@ class TestHelper:
                 return helper.result() == os.getpid()
 
         assert P.fork_map(run, range(2)) == [True, True]
-
-    @pytest.mark.skipif(P._openblas_thread_setter() is None, reason="numpy without OpenBLAS")
-    def test_pins_openblas_to_one_thread(self, monkeypatch):
-        setter, get_threads = openblas_thread_functions()
-        monkeypatch.setattr(P, "_usable_cpus", lambda: 2)
-        clear_blas_thread_vars(monkeypatch)
-        before = get_threads()
-        setter(2)
-        try:
-            with P.Helper(lambda _: (get_threads(), os.getpid())) as helper:
-                helper.submit(None)
-                threads, pid = helper.result()
-            assert get_threads() == 2
-        finally:
-            setter(before)
-        assert threads == 1 and pid != os.getpid()

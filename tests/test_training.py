@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import blas_kernel_note, clear_blas_thread_vars
+from helpers import blas_kernel_note, one_blas_thread
 
 from tivis import parallel, training
 from tivis.errors import TrainingDivergedError
@@ -130,10 +130,9 @@ def shard_pids(monkeypatch, tmp_path):
     """Wraps each shard to log the pid of each job; returns a reader that
     empties the log.
 
-    One BLAS thread is set, so the helpers fork when two CPUs are usable.
+    The process runs one BLAS thread, so the helpers fork when two CPUs are usable.
     """
-    clear_blas_thread_vars(monkeypatch)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    one_blas_thread(monkeypatch)
     log = tmp_path / "shard_pids"
     real = training._shard
 

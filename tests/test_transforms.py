@@ -239,6 +239,11 @@ class TestSpecsAndSchedules:
             with pytest.raises(ValueError):
                 T.parse_transform_list(bad)
 
+    @pytest.mark.parametrize("part", ["flip:x", "rot:10x1e3", "rot:10x"])
+    def test_parse_error_names_the_part(self, part):
+        with pytest.raises(ValueError, match=f"^bad transform spec '{part}': "):
+            T.parse_transform_list(f"rot:10,{part}")
+
 
 class TestRunBattery:
     def _model(self):

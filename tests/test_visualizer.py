@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import clear_blas_thread_vars, random_small_model
+from helpers import one_blas_thread, random_small_model
 
 import tivis.visualizer as viz
 from tivis import nn, parallel
@@ -259,10 +259,9 @@ def call_log(monkeypatch, tmp_path):
     """Wraps the gradient step and the battery to log each call with the pid
     of the process that made it.
 
-    One BLAS thread is set, so the helper forks when two CPUs are usable.
+    The process runs one BLAS thread, so the helper forks when two CPUs are usable.
     """
-    clear_blas_thread_vars(monkeypatch)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    one_blas_thread(monkeypatch)
     log = _CallLog(tmp_path / "calls")
     monkeypatch.setattr(viz, "gradient_step", log.wrap("step", viz.gradient_step))
     monkeypatch.setattr(viz, "run_battery", log.wrap("battery", viz.run_battery))
