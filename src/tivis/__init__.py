@@ -1,5 +1,6 @@
 """tivis: transformation-invariant class visualizations for small CNNs."""
 
+from . import parallel  # first: its process settings precede every other module's allocations
 from .entropy import (
     avg_gray_change,
     cooccurrence,

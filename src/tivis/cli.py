@@ -30,6 +30,7 @@ from .transforms import (
     DEFAULT_BATTERY_TEXT,
     DEFAULT_SCHEDULE_TEXT,
     TransformSchedule,
+    check_square,
     constant_image,
     parse_transform_list,
     run_battery,
@@ -306,7 +307,10 @@ def _cmd_baseline(args) -> int:
     target = _resolve_class(model, args.target_class)
     init = _load_init(model, args.init)
     config = _optim_config(args)
-    battery = None if args.battery is None else parse_transform_list(args.battery)
+    battery = None
+    if args.battery is not None:  # the spec and the square image it needs, before the pass
+        battery = parse_transform_list(args.battery)
+        check_square(*model.input_shape[1:])
     image = baseline_visualize(model, target, init, config)
     if args.out is not None:
         write_ppm(image, args.out)

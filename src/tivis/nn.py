@@ -18,62 +18,15 @@ optimization steps directly in display space.
 
 All functions are pure: they never mutate their arguments and two calls
 with identical inputs produce bit-identical outputs.
-
-Importing the module sets glibc's malloc thresholds once; see
-``_pin_malloc_thresholds``.
 """
 
 from __future__ import annotations
 
-import ctypes
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidClassError, NonFiniteError, ShapeChainError, ShapeMismatchError
-
-# mallopt parameter numbers from glibc's malloc.h, and the environment
-# variables through which a user sets malloc parameters themselves
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_MALLOC_ENV_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_")
-
-
-def _pin_malloc_thresholds() -> bool:
-    """Start glibc's malloc at the thresholds a warmed-up process reaches.
-
-    glibc lifts its mmap threshold to the largest freed mmapped block (at
-    most 32 MiB on 64-bit) and its trim threshold to twice that. A fresh
-    process that only runs N=1 gradient steps lifts them to about 1.8 MB,
-    so glibc returns each step's temporaries to the OS and the
-    next step page-faults them back in. Pinning both at that ceiling costs
-    a process that frees a large array nothing: it ends up there anyway.
-
-    Does nothing off glibc, or when the user has set a malloc parameter
-    through the environment. Returns whether the thresholds were set.
-    """
-    try:
-        libc_version = os.confstr("CS_GNU_LIBC_VERSION") or ""
-    except (ValueError, OSError):  # no such name: not glibc
-        return False
-    if not libc_version.startswith("glibc"):
-        return False
-    if any(var in os.environ for var in _MALLOC_ENV_VARS):
-        return False
-    if "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
-        return False
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mmap_threshold = 32 << 20
-    return bool(
-        mallopt(_M_MMAP_THRESHOLD, mmap_threshold)
-        and mallopt(_M_TRIM_THRESHOLD, 2 * mmap_threshold)
-    )
-
-
-_MALLOC_THRESHOLDS_PINNED = _pin_malloc_thresholds()
 
 # pixel_norm -> (display units per normalized unit, display value whose
 # normalized value is exactly 0)

@@ -1,21 +1,22 @@
-"""Fan-out of independent runs over forked helper processes.
+"""The settings of a tivis process, and fan-out over forked helpers.
+
+Importing this module decides, once, the two settings that a tivis process
+and every helper it forks run with, and never overrides one that the user
+made through the environment: the BLAS threads (``_blas_threads``) and
+glibc's malloc thresholds (``_pin_malloc_thresholds``).
 
 ``Helper(fn)`` computes ``fn(x)`` for one item at a time in a forked process
 beside the caller, which goes on with its own work meanwhile.
 ``fork_map(fn, items)`` returns ``[fn(x) for x in items]``, computed on
 ``min(len(items), usable CPUs // BLAS threads)`` helpers; each idle helper
-takes the next item. ``taskset`` restricts the usable CPUs. Importing this
-module decides the BLAS threads of the process once, as OpenBLAS reads its
-own variables once when it loads: the count the user set, or else one,
-pinned through OpenBLAS's setter, since OpenBLAS would otherwise run a
-thread per CPU in every process. Every helper inherits that setting, and
-``fn``, so only the items and the results are pickled. The first item that
-raises, or a helper that dies, raises in the caller at once, and no helper
-outlives the call. One plan gives the workers for n items: ``fork_map``
-asks it for its items, a ``Helper`` for two. Where it gives one worker,
-``fn(x)`` runs in-process, a ``Helper``'s when its result is taken.
-``visualize`` runs its optimization passes on a ``Helper``, and ``train``
-and ``evaluate`` each batch's trunk on two.
+takes the next item. ``taskset`` restricts the usable CPUs. Every helper
+inherits both settings, and ``fn``, so only the items and the results are
+pickled. The first item that raises, or a helper that dies, raises in the
+caller at once, and no helper outlives the call. One plan gives the workers
+for n items: ``fork_map`` asks it for its items, a ``Helper`` for two. Where
+it gives one worker, ``fn(x)`` runs in-process, a ``Helper``'s when its
+result is taken. ``visualize`` runs its optimization passes on a ``Helper``,
+and ``train`` and ``evaluate`` each batch's trunk on two.
 """
 
 from __future__ import annotations
@@ -34,6 +35,12 @@ import numpy as np
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
 _OPENBLAS_CORENAMES = ("scipy_openblas_get_corename64_", "openblas_get_corename")
+
+# mallopt parameter numbers from glibc's malloc.h, and the environment
+# variables through which a user sets malloc parameters themselves
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MALLOC_ENV_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_")
 
 
 def _openblas_function(names: tuple, argtypes: tuple, restype):
@@ -56,7 +63,9 @@ def _openblas_function(names: tuple, argtypes: tuple, restype):
 def _blas_threads() -> int:
     """The BLAS threads of this process and its helpers: the count the user
     set, never overridden (0 if not a positive count, which is a thread per
-    CPU), or else 1, pinned through OpenBLAS's setter (0 without it)."""
+    CPU), or else 1, pinned through OpenBLAS's setter (0 without it), since
+    OpenBLAS would run a thread per CPU in every process. It is read at
+    import, as OpenBLAS reads its own variables once when it loads."""
     for var in BLAS_THREAD_VARS:
         if var in os.environ:
             try:
@@ -70,8 +79,43 @@ def _blas_threads() -> int:
     return 1
 
 
-# decided once, at import; each helper the process forks inherits it
+def _pin_malloc_thresholds() -> bool:
+    """Start glibc's malloc at the thresholds a warmed-up process reaches.
+
+    glibc lifts its mmap threshold to the largest freed mmapped block (at
+    most 32 MiB on 64-bit) and its trim threshold to twice that. A fresh
+    process that only runs N=1 gradient steps lifts them to about 1.8 MB,
+    so glibc returns each step's temporaries to the OS and the
+    next step page-faults them back in. Pinning both at that ceiling costs
+    a process that frees a large array nothing: it ends up there anyway.
+
+    Does nothing off glibc, or when the user has set a malloc parameter
+    through the environment. Returns whether the thresholds were set.
+    """
+    try:
+        libc_version = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (ValueError, OSError):  # no such name: not glibc
+        return False
+    if not libc_version.startswith("glibc"):
+        return False
+    if any(var in os.environ for var in _MALLOC_ENV_VARS):
+        return False
+    if "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mmap_threshold = 32 << 20
+    return bool(
+        mallopt(_M_MMAP_THRESHOLD, mmap_threshold)
+        and mallopt(_M_TRIM_THRESHOLD, 2 * mmap_threshold)
+    )
+
+
+# decided once, at import, before any array a workload allocates; each helper
+# the process forks inherits both
 _BLAS_THREADS = _blas_threads()
+_MALLOC_THRESHOLDS_PINNED = _pin_malloc_thresholds()
 
 
 def openblas_corename() -> str | None:

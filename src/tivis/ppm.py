@@ -10,7 +10,8 @@ values are truncated toward zero on write, so the write/read round trip is
 the identity on integer-valued images.
 
 The reader accepts the general P6 grammar: any whitespace between header
-tokens and '#' comments through end-of-line. Only maxval 255 is supported.
+tokens and '#' comments through end-of-line. Header fields are ASCII decimal
+digits, and only maxval 255 is supported.
 """
 
 from __future__ import annotations
@@ -47,10 +48,10 @@ def _read_pixels(path) -> np.ndarray:
     while len(fields) < 3:
         token, pos = _next_token(raw, pos)
         fields.append(token)
-    try:
-        w, h, maxval = (int(t) for t in fields)
-    except ValueError:
-        raise PpmError(f"non-numeric header fields {fields!r}") from None
+    # Netpbm header fields are ASCII decimal digits; int() would also take a sign or "_"
+    if not all(t.isascii() and t.isdigit() for t in fields):
+        raise PpmError(f"non-numeric header fields {fields!r}")
+    w, h, maxval = (int(t) for t in fields)
     if w < 1 or h < 1:
         raise PpmError(f"bad dimensions {w}x{h}")
     if maxval != 255:

@@ -9,8 +9,7 @@ Two primitives:
 
 * ``splitmix64`` - a 64-bit mixing function. Output ``i`` of a stream with
   seed ``s`` is ``mix64(s + (i+1)*GOLDEN)``, which makes it usable both as
-  a sequential generator and as a stateless counter-based one
-  (``uniform_field`` exploits the latter for vectorized generation).
+  a sequential generator and as a stateless counter-based one.
 * ``Xoshiro256`` - the xoshiro256** sequential generator (Blackman/Vigna
   update rule), state-seeded from splitmix64 as its authors recommend.
 
@@ -18,8 +17,6 @@ Doubles are formed as ``(u64 >> 11) * 2**-53``, uniform on [0, 1).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -103,18 +100,3 @@ class Xoshiro256:
 def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK
 
-
-def uniform_field(seed: int, shape: tuple[int, ...], lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-    """Deterministic array of uniform doubles in [lo, hi), counter-based.
-
-    Element ``i`` (C order) is splitmix64 output ``i`` of the seed's stream,
-    computed with vectorized uint64 arithmetic, so large fields are cheap.
-    """
-    n = int(np.prod(shape)) if shape else 1
-    idx = np.arange(1, n + 1, dtype=np.uint64)
-    z = (np.uint64(seed & _MASK) + idx * np.uint64(_GOLDEN))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    z = z ^ (z >> np.uint64(31))
-    u = (z >> np.uint64(11)).astype(np.float64) * _F53
-    return (lo + (hi - lo) * u).reshape(shape)

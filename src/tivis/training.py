@@ -23,7 +23,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -271,12 +271,8 @@ def _check_inputs(model: Model, dataset: ShapeDataset) -> None:
 
 def validation_split(dataset: ShapeDataset, config: TrainConfig) -> ShapeDataset:
     """The validation subset exactly as train() carved it out."""
-    return _subset(dataset, config, validation=True)
-
-
-def training_split(dataset: ShapeDataset, config: TrainConfig) -> ShapeDataset:
-    """The training subset complementing validation_split."""
-    return _subset(dataset, config, validation=False)
+    idx, _ = _split_indices(len(dataset), config)
+    return replace(dataset, images=dataset.images[idx], labels=dataset.labels[idx])
 
 
 def _split_indices(n: int, config: TrainConfig):
@@ -287,14 +283,3 @@ def _split_indices(n: int, config: TrainConfig):
     if n_val >= n:
         raise ValueError("val_fraction leaves no training samples")
     return np.asarray(order[:n_val]), np.asarray(order[n_val:])
-
-
-def _subset(dataset: ShapeDataset, config: TrainConfig, validation: bool) -> ShapeDataset:
-    val_idx, train_idx = _split_indices(len(dataset), config)
-    idx = val_idx if validation else train_idx
-    return ShapeDataset(
-        images=dataset.images[idx],
-        labels=dataset.labels[idx],
-        seed=dataset.seed,
-        class_names=dataset.class_names,
-    )

@@ -44,14 +44,18 @@ def constant_image(height: int, width: int, value) -> np.ndarray:
     return img
 
 
+def check_square(height: int, width: int) -> None:
+    """Raise unless an image of height x width is square, as the rotations,
+    scalings and batteries need."""
+    if height != width:
+        raise ValueError(f"operation requires a square image, got {height}x{width}")
+
+
 def _require_square(image: np.ndarray) -> np.ndarray:
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[2] != 3:
         raise ValueError(f"expected an (H, W, 3) image, got shape {tuple(image.shape)}")
-    if image.shape[0] != image.shape[1]:
-        raise ValueError(
-            f"operation requires a square image, got {image.shape[0]}x{image.shape[1]}"
-        )
+    check_square(*image.shape[:2])
     return image
 
 

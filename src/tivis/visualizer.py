@@ -37,7 +37,14 @@ import numpy as np
 from .errors import NonFiniteGradientError
 from .nn import OBJECTIVES, Model, check_input, gradient_step
 from .parallel import Helper
-from .transforms import TransformSchedule, TransformSpec, apply_transform, clamp, run_battery
+from .transforms import (
+    TransformSchedule,
+    TransformSpec,
+    apply_transform,
+    check_square,
+    clamp,
+    run_battery,
+)
 
 GRADIENT_MODES = ("raw", "l2_normalized")
 
@@ -158,6 +165,7 @@ def visualize(
         raise ValueError(
             f"q_test ({stop.q_test}) must not exceed q_target ({config.q_target})"
         )
+    check_square(*model.validate().input_shape[1:])  # every battery needs it
     target = model.class_index(target_class)
     last = stop.max_outer_iterations - 1
 

@@ -10,13 +10,21 @@ textbook definition.
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from tivis import nn
 from tivis import parallel
 from tivis.parallel import BLAS_THREAD_VARS, openblas_corename
+from tivis.rng import _F53, _GOLDEN, _MASK, _MIX1, _MIX2
+from tivis.shapes import ShapeDataset
+from tivis.training import _split_indices
 
 
 def blas_kernel_note() -> str:
@@ -302,6 +310,18 @@ def random_small_model(seed):
         base += 1000
 
 
+def conv_relu_dense_model(height: int, width: int, seed: int = 0):
+    """A conv-relu-flatten-dense model of (3, height, width) input and 3 classes."""
+    rng = np.random.default_rng(seed)
+    conv = nn.Conv2d(weight=rng.normal(0, 0.1, (2, 3, 3, 3)), bias=np.zeros(2), padding=1)
+    dense = nn.Dense(weight=rng.normal(0, 0.01, (3, 2 * height * width)), bias=np.zeros(3))
+    return nn.Model(
+        layers=[conv, nn.Relu(), nn.Flatten(), dense],
+        input_shape=(3, height, width),
+        class_names=("a", "b", "c"),
+    ).validate()
+
+
 def _draw_model(seed):
     rng = np.random.default_rng(seed)
     size = int(rng.integers(6, 11))
@@ -428,3 +448,50 @@ def openblas_thread_functions():
             getter.restype = ctypes.c_int
             return setter, getter
     return None
+
+
+def run_fresh(code: str, *argv: str, **env_vars: str) -> str:
+    """The stdout of code run in a new interpreter with argv, asserting that
+    it exits 0. Its environment is this one without the variables through
+    which a user sets the BLAS threads or malloc, plus env_vars, and with
+    tivis importable, so the import makes its own settings unless env_vars
+    makes one."""
+    user_settings = BLAS_THREAD_VARS + parallel._MALLOC_ENV_VARS + ("GLIBC_TUNABLES",)
+    env = {k: v for k, v in os.environ.items() if k not in user_settings}
+    src = str(Path(parallel.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**env, **env_vars},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# --------------------------------------------------------------------------
+# Seeded test data
+
+
+def uniform_field(seed: int, shape: tuple, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+    """Deterministic array of uniform doubles in [lo, hi), counter-based.
+
+    Element ``i`` (C order) is splitmix64 output ``i`` of the seed's stream,
+    computed with vectorized uint64 arithmetic, so large fields are cheap.
+    """
+    n = int(np.prod(shape)) if shape else 1
+    idx = np.arange(1, n + 1, dtype=np.uint64)
+    z = (np.uint64(seed & _MASK) + idx * np.uint64(_GOLDEN))
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    z = z ^ (z >> np.uint64(31))
+    u = (z >> np.uint64(11)).astype(np.float64) * _F53
+    return (lo + (hi - lo) * u).reshape(shape)
+
+
+def training_split(dataset: ShapeDataset, config) -> ShapeDataset:
+    """The training subset that train() carves out beside validation_split."""
+    _, idx = _split_indices(len(dataset), config)
+    return dataclasses.replace(dataset, images=dataset.images[idx], labels=dataset.labels[idx])

@@ -6,6 +6,7 @@ visualization runs) are deliberately kept inside this module so the whole
 contract is exercised end to end.
 """
 
+import hashlib
 import time
 from contextlib import contextmanager
 
@@ -19,6 +20,7 @@ from helpers import (
     fd_input_gradient,
     luma_direct,
     random_small_model,
+    uniform_field,
 )
 
 from tivis import entropy as E
@@ -28,7 +30,6 @@ from tivis.parallel import fork_map
 from tivis.ppm import read_ppm, write_ppm
 from tivis.probes import ScreenRect, zero_square
 from tivis.reports import sweep_report
-from tivis.rng import uniform_field
 from tivis.shapes import CLASS_NAMES
 from tivis.training import validation_split
 from tivis.transforms import (
@@ -235,6 +236,32 @@ def test_criterion_6_sweep_determinism_and_argmax(reference_run):
         best_total = max(t for _, t in totals)
         expected_best = min(g for g, t in totals if t == best_total)
         assert sweep.best_init == expected_best
+
+
+# bench/workloads.py's sweep-init workload: its constants, restated
+_BENCH_SWEEP_SCHEDULE, _BENCH_SWEEP_BATTERY = "rot:45x8", "rot-sweep:45"
+_BENCH_SWEEP_CONFIG = OptimConfig(step_size=3.0, max_inner_steps=20)
+_BENCH_SWEEP_STOP = StoppingCriterion(q_test=0.8, max_outer_iterations=3)
+
+
+@pytest.mark.slow
+def test_bench_sweep_report_hash(reference_model):
+    # the sweep-init workload's report, whose hash stands for every bit the sweep produces
+    target = reference_model.class_index("hex_outline")
+    schedule = TransformSchedule(
+        steps=parse_transform_list(_BENCH_SWEEP_SCHEDULE),
+        battery=parse_transform_list(_BENCH_SWEEP_BATTERY),
+    )
+    sweep = E.init_sweep(
+        reference_model, target, schedule, _BENCH_SWEEP_CONFIG, _BENCH_SWEEP_STOP,
+        gray_levels=E.DEFAULT_GRAY_LEVELS, window=32, stride=16,
+    )
+    text = sweep_report(
+        sweep, _BENCH_SWEEP_CONFIG, _BENCH_SWEEP_STOP, target, "hex_outline",
+        _BENCH_SWEEP_SCHEDULE, _BENCH_SWEEP_BATTERY,
+    )
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digest == "3f9197f94f76e143", blas_kernel_note()
 
 
 def test_criterion_7_screening_contract():

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import blas_kernel_note, write_model_file
+from helpers import blas_kernel_note, conv_relu_dense_model, write_model_file
 
+from tivis import cli
 from tivis.cli import _build_parser, main
 from tivis.model_io import load_model, save_model
 from tivis import nn
@@ -382,6 +383,19 @@ def test_baseline_battery_is_parsed_before_the_optimization(tmp_path, confident_
     assert captured.out == ""
     assert captured.err.startswith("error: ValueError: bad transform spec 'rot-sweep:0.0001': ")
     assert not out.exists()
+
+
+def test_baseline_battery_rejects_a_non_square_model_before_the_optimization(
+    tmp_path, monkeypatch, capsys
+):
+    path = tmp_path / "wide.gbxm"
+    save_model(conv_relu_dense_model(8, 6), path)
+    monkeypatch.setattr(cli, "baseline_visualize", lambda *args: pytest.fail("the pass ran"))
+    code = main(["baseline", "--model", str(path), "--class", "a", "--battery", "rot:10"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: ValueError: operation requires a square image, got 8x6\n"
 
 
 def test_classify_empty_variants_reported(confident_model_file, sample_ppm, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     clear_blas_thread_vars,
+    conv_relu_dense_model,
     cooccurrence_direct,
     entropy_direct,
     entropy_of_gray_direct,
@@ -365,6 +366,20 @@ class TestInitSweep:
             E.init_sweep(
                 model, 0, schedule, config, stop, gray_levels=(0, 128), window=window, stride=stride
             )
+
+    def test_non_square_input_rejected_before_any_step(self, monkeypatch):
+        # its entropy map fits; its batteries cannot rotate it
+        model = conv_relu_dense_model(80, 64)
+        import tivis.visualizer as viz
+
+        steps = []
+        step = viz.gradient_step
+        monkeypatch.setattr(viz, "gradient_step", lambda *args: steps.append(1) or step(*args))
+        monkeypatch.setattr(P, "_usable_cpus", lambda: 1)  # every step in this process
+        _, schedule, config, stop = self._setup()
+        with pytest.raises(ValueError, match="operation requires a square image, got 80x64"):
+            E.init_sweep(model, 0, schedule, config, stop)
+        assert steps == []
 
     def test_default_gray_levels_match_contract(self):
         assert len(E.DEFAULT_GRAY_LEVELS) == 27

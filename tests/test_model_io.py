@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_small_model, write_model_file
+from helpers import random_small_model, uniform_field, write_model_file
 
 from tivis import nn
 from tivis.errors import (
@@ -14,7 +14,6 @@ from tivis.errors import (
     TivisError,
 )
 from tivis.model_io import load_model, save_model
-from tivis.rng import uniform_field
 
 
 def test_round_trip_bit_exact(tmp_path):

@@ -1,9 +1,5 @@
 import hashlib
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -580,66 +576,6 @@ class TestGradientProperty:
                 continue
             rel = np.abs(g - gfd)[mask] / np.abs(g)[mask]
             assert rel.max() <= 1e-5, f"seed {seed}"
-
-
-def _glibc() -> bool:
-    try:
-        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
-    except (ValueError, OSError):
-        return False
-
-
-_FRESH_PROCESS_STEPS = """
-import resource
-import numpy as np
-from tivis import nn
-from tivis.training import reference_architecture
-
-model = reference_architecture(7)
-image = np.random.default_rng(0).uniform(0, 255, (64, 64, 3))
-for _ in range(5):
-    nn.confidence_and_input_gradient(model, image, 5)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(100):
-    nn.confidence_and_input_gradient(model, image, 5)
-after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-print(nn._MALLOC_THRESHOLDS_PINNED, (after - before) / 100)
-"""
-
-
-def _run_fresh(code, **env_vars):
-    """Run code in a new interpreter whose malloc settings are glibc's defaults plus env_vars."""
-    user_malloc = nn._MALLOC_ENV_VARS + ("GLIBC_TUNABLES",)
-    env = {k: v for k, v in os.environ.items() if k not in user_malloc}
-    src = str(Path(nn.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env.update(env_vars)
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    return proc.stdout.split()
-
-
-@pytest.mark.skipif(not _glibc(), reason="glibc malloc only")
-class TestMallocThresholds:
-    def test_fresh_process_gradient_step_does_not_page_fault(self):
-        # a fresh process: this one's thresholds were lifted by training
-        pinned, faults_per_step = _run_fresh(_FRESH_PROCESS_STEPS)
-        assert pinned == "True"
-        assert float(faults_per_step) < 10
-
-    @pytest.mark.parametrize(
-        "var, value",
-        [
-            ("MALLOC_TRIM_THRESHOLD_", "131072"),
-            ("MALLOC_MMAP_THRESHOLD_", "131072"),
-            ("MALLOC_TOP_PAD_", "0"),
-            ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=131072"),
-        ],
-    )
-    def test_user_malloc_settings_are_left_alone(self, var, value):
-        code = "from tivis import nn; print(nn._MALLOC_THRESHOLDS_PINNED)"
-        assert _run_fresh(code, **{var: value}) == ["False"]
 
 
 def _digest(arrays) -> str:

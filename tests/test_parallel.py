@@ -1,15 +1,12 @@
 import inspect
 import multiprocessing
 import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import one_blas_thread, openblas_thread_functions
+from helpers import one_blas_thread, openblas_thread_functions, run_fresh
 
 from tivis import parallel as P
 from tivis.errors import NonFiniteGradientError
@@ -54,14 +51,6 @@ def test_exception_propagates_and_no_worker_outlives_it(two_workers):
     assert multiprocessing.active_children() == []
 
 
-def _subprocess_env(**blas_vars):
-    """This environment without its BLAS thread variables, plus blas_vars, with tivis importable."""
-    env = {k: v for k, v in os.environ.items() if k not in P.BLAS_THREAD_VARS}
-    src = str(Path(P.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return {**env, **blas_vars}
-
-
 _DYING_WORKER = """
 import multiprocessing, os
 from tivis import parallel as P
@@ -75,12 +64,8 @@ except RuntimeError as exc:
 
 def test_a_worker_that_dies_is_an_error():
     # in a subprocess, so that a map which waits for the dead worker times out
-    env = _subprocess_env(OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", _DYING_WORKER], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "the helper process exited without a result 0\n"
+    stdout = run_fresh(_DYING_WORKER, OPENBLAS_NUM_THREADS="1")
+    assert stdout == "the helper process exited without a result 0\n"
 
 
 def test_first_failure_raises_without_waiting_for_the_rest(two_workers):
@@ -120,15 +105,8 @@ print(imported, threads, code, get_threads())
 def _probe_threads(tmp_path, **blas_vars) -> str:
     write_ppm(np.zeros((4, 4, 3)), tmp_path / "in.ppm")
     argv = ["invert", "--image", str(tmp_path / "in.ppm"), "--out", str(tmp_path / "out.ppm")]
-    proc = subprocess.run(
-        [sys.executable, "-c", _THREAD_PROBE, *argv],
-        env=_subprocess_env(**blas_vars),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1]  # after the command's own output
+    # the last line comes after the command's own output
+    return run_fresh(_THREAD_PROBE, *argv, **blas_vars).splitlines()[-1]
 
 
 needs_openblas = pytest.mark.skipif(
@@ -152,6 +130,74 @@ def test_a_variable_set_after_import_is_not_read(monkeypatch, two_workers):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")  # a thread per CPU, which forks no helper
     assert P._plan(2) == 2
     assert P.fork_map(lambda _: os.getpid(), range(2)) != [os.getpid()] * 2
+
+
+def _glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (ValueError, OSError):
+        return False
+
+
+# prints whether the import pinned malloc's thresholds, whether the steps ran
+# in a forked process, and the minor page faults per N=1 gradient step; with
+# the argument "helper" the steps run in a forked Helper
+_FAULT_PROBE = """
+import os, resource, sys
+import numpy as np
+from tivis import nn, parallel
+from tivis.training import reference_architecture
+
+model = reference_architecture(7)
+image = np.random.default_rng(0).uniform(0, 255, (64, 64, 3))
+
+def faults_per_step(_):
+    for _ in range(5):
+        nn.confidence_and_input_gradient(model, image, 5)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(100):
+        nn.confidence_and_input_gradient(model, image, 5)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    return os.getpid(), (after - before) / 100
+
+if sys.argv[1:] == ["helper"]:
+    parallel._usable_cpus = lambda: 64  # a Helper forks for any count below 32
+    with parallel.Helper(faults_per_step) as helper:
+        helper.submit(None)
+        pid, faults = helper.result()
+else:
+    pid, faults = faults_per_step(None)
+print(parallel._MALLOC_THRESHOLDS_PINNED, pid != os.getpid(), faults)
+"""
+
+
+@pytest.mark.skipif(not _glibc(), reason="glibc malloc only")
+class TestMallocThresholds:
+    def test_fresh_process_gradient_step_does_not_page_fault(self):
+        # a fresh process: this one's thresholds were lifted by training
+        pinned, forked, faults_per_step = run_fresh(_FAULT_PROBE).split()
+        assert (pinned, forked) == ("True", "False")
+        assert float(faults_per_step) < 10
+
+    def test_forked_helper_gradient_step_does_not_page_fault(self):
+        # one BLAS thread, so that the Helper forks with or without OpenBLAS
+        stdout = run_fresh(_FAULT_PROBE, "helper", OPENBLAS_NUM_THREADS="1")
+        pinned, forked, faults_per_step = stdout.split()
+        assert (pinned, forked) == ("True", "True")
+        assert float(faults_per_step) < 10
+
+    @pytest.mark.parametrize(
+        "var, value",
+        [
+            ("MALLOC_TRIM_THRESHOLD_", "131072"),
+            ("MALLOC_MMAP_THRESHOLD_", "131072"),
+            ("MALLOC_TOP_PAD_", "0"),
+            ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=131072"),
+        ],
+    )
+    def test_user_malloc_settings_are_left_alone(self, var, value):
+        code = "from tivis import parallel; print(parallel._MALLOC_THRESHOLDS_PINNED)"
+        assert run_fresh(code, **{var: value}) == "False\n"
 
 
 def test_worker_exception_keeps_its_message(two_workers):

@@ -92,6 +92,15 @@ def test_bad_dimensions(tmp_path):
         read_ppm(path)
 
 
+@pytest.mark.parametrize("width, height", [(b"+2", b"10"), (b"1_0", b"2"), (b"10", b"+2"), (b"2", b"1_0")])
+def test_header_fields_are_decimal_digits(tmp_path, width, height):
+    # int() takes a sign and a digit-group underscore, which Netpbm does not
+    path = tmp_path / "sign.ppm"
+    path.write_bytes(b"P6\n" + width + b" " + height + b"\n255\n" + bytes(60))
+    with pytest.raises(PpmError, match="non-numeric header fields"):
+        read_ppm(path)
+
+
 def test_write_rejects_non_image():
     with pytest.raises(ValueError):
         write_ppm(np.zeros((4, 4)), "/tmp/never.ppm")

@@ -1,6 +1,6 @@
 import numpy as np
 
-from tivis.rng import Xoshiro256, derive_seed, splitmix64, uniform_field
+from tivis.rng import Xoshiro256, derive_seed
 
 
 def test_sequential_determinism():
@@ -43,17 +43,3 @@ def test_derive_seed_independence():
     assert s != derive_seed(42, 2, 2)
     assert s == derive_seed(42, 1, 2)
 
-
-def test_splitmix_stream_matches_uniform_field():
-    # uniform_field element i is splitmix64 output i of the same seed
-    field = uniform_field(77, (6,))
-    expect = [(splitmix64(77, i) >> 11) * 2.0**-53 for i in range(6)]
-    assert np.allclose(field, expect, rtol=0, atol=0)
-
-
-def test_uniform_field_deterministic_and_bounded():
-    a = uniform_field(3, (5, 4, 3), 10.0, 20.0)
-    b = uniform_field(3, (5, 4, 3), 10.0, 20.0)
-    assert np.array_equal(a, b)
-    assert a.min() >= 10.0 and a.max() < 20.0
-    assert a.shape == (5, 4, 3)

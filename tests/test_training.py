@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import blas_kernel_note, one_blas_thread
+from helpers import blas_kernel_note, one_blas_thread, training_split
 
 from tivis import parallel, training
 from tivis.errors import TrainingDivergedError
@@ -21,7 +21,6 @@ from tivis.training import (
     evaluate,
     reference_architecture,
     train,
-    training_split,
     validation_split,
 )
 

@@ -5,16 +5,23 @@ import time
 import numpy as np
 import pytest
 
-from helpers import one_blas_thread, random_small_model
+from helpers import conv_relu_dense_model, one_blas_thread, random_small_model
 
 import tivis.visualizer as viz
 from tivis import nn, parallel
 from tivis.errors import NonFiniteError, NonFiniteGradientError
-from tivis.transforms import TransformSchedule, TransformSpec, constant_image, parse_transform_list
+from tivis.transforms import (
+    TransformSchedule,
+    TransformSpec,
+    constant_image,
+    default_schedule,
+    parse_transform_list,
+)
 from tivis.visualizer import (
     OptimConfig,
     StoppingCriterion,
     baseline_visualize,
+    default_stop,
     optimize_to_confidence,
     visualize,
 )
@@ -166,6 +173,16 @@ class TestVisualize:
                 tiny_confident_model, 1, constant_image(8, 8, 0.0), self._schedule(),
                 OptimConfig(q_target=0.9), StoppingCriterion(q_test=0.95),
             )
+
+    def test_non_square_input_is_rejected_before_any_step(self, call_log):
+        # every battery rotates, so a pass before the first battery is wasted
+        model, schedule = conv_relu_dense_model(8, 6), default_schedule()
+        with pytest.raises(ValueError, match="operation requires a square image, got 8x6"):
+            visualize(
+                model, 0, constant_image(8, 6, 0.0), schedule,
+                OptimConfig(max_inner_steps=50), default_stop(schedule),
+            )
+        assert call_log.calls("step") == []
 
     def test_trace_bit_reproducible(self):
         model = _linear_model()
