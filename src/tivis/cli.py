@@ -21,7 +21,7 @@ from . import entropy as entropy_mod
 from . import reports
 from .errors import TivisError
 from .model_io import load_model, save_model
-from .nn import forward
+from .nn import OBJECTIVES, forward
 from .ppm import read_ppm, write_ppm
 from .probes import ScreenRect, classify_report, invert, zero_square
 from .shapes import generate_dataset, load_dataset, save_dataset
@@ -30,12 +30,13 @@ from .transforms import (
     DEFAULT_BATTERY_TEXT,
     DEFAULT_SCHEDULE_TEXT,
     TransformSchedule,
-    check_square,
     constant_image,
     parse_transform_list,
     run_battery,
 )
 from .visualizer import (
+    DEFAULT_REVOLUTIONS,
+    GRADIENT_MODES,
     OptimConfig,
     StoppingCriterion,
     baseline_visualize,
@@ -93,10 +94,10 @@ def _build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group()
     source.add_argument("--dataset", help="dataset directory (default: generate from --seed)")
     source.add_argument("--count-per-class", type=int, default=100)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--val-split", type=float, default=0.2)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--val-split", type=float, default=TrainConfig.val_fraction)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("classify", help="top-k report for images")
@@ -161,21 +162,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _add_visualize_args(p):
     p.add_argument("--class", dest="target_class", required=True, help="class name or index")
-    p.add_argument("--q-target", type=float, default=0.99)
-    p.add_argument("--step-size", type=float, default=1.0)
-    p.add_argument("--max-inner", type=int, default=500)
-    p.add_argument("--gradient", choices=("raw", "l2_normalized"), default="l2_normalized")
-    p.add_argument(
-        "--objective", choices=("softmax_confidence", "logit"), default="softmax_confidence"
-    )
+    p.add_argument("--q-target", type=float, default=OptimConfig.q_target)
+    p.add_argument("--step-size", type=float, default=OptimConfig.step_size)
+    p.add_argument("--max-inner", type=int, default=OptimConfig.max_inner_steps)
+    p.add_argument("--gradient", choices=GRADIENT_MODES, default=OptimConfig.gradient_mode)
+    p.add_argument("--objective", choices=OBJECTIVES, default=OptimConfig.objective)
 
 
 def _add_run_args(p):
     """The schedule, battery and stop of a visualize or sweep-init run (see _run_setup)."""
     p.add_argument("--schedule", default=DEFAULT_SCHEDULE_TEXT)
     p.add_argument("--battery", default=DEFAULT_BATTERY_TEXT)
-    p.add_argument("--q-test", type=float, default=0.8)
-    p.add_argument("--max-outer", type=int, help="outer iteration cap (default: 3 schedule passes)")
+    p.add_argument("--q-test", type=float, default=StoppingCriterion.q_test)
+    p.add_argument(
+        "--max-outer",
+        type=int,
+        help=f"outer iteration cap (default: {DEFAULT_REVOLUTIONS} schedule passes)",
+    )
 
 
 def _resolve_class(model, text):
@@ -211,6 +214,16 @@ def _optim_config(args) -> OptimConfig:
     )
 
 
+def _train_config(args) -> TrainConfig:
+    return TrainConfig(
+        epochs=args.epochs,
+        learning_rate=args.lr,
+        batch_size=args.batch_size,
+        seed=args.seed,
+        val_fraction=args.val_split,
+    )
+
+
 def _write_report(args, text: str) -> None:
     if args.report is not None:
         with open(args.report, "w", encoding="utf-8") as f:
@@ -238,13 +251,7 @@ def _cmd_train(args) -> int:
             f"the reference architecture has {arch.num_classes}"
         )
     arch.class_names = tuple(dataset.class_names)
-    config = TrainConfig(
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        val_fraction=args.val_split,
-    )
+    config = _train_config(args)
     result = train(dataset, arch, config)
     save_model(result.model, args.out)
     if result.history:  # train measured it on the same rows in the same chunks
@@ -308,9 +315,8 @@ def _cmd_baseline(args) -> int:
     init = _load_init(model, args.init)
     config = _optim_config(args)
     battery = None
-    if args.battery is not None:  # the spec and the square image it needs, before the pass
+    if args.battery is not None:  # the spec, before the pass
         battery = parse_transform_list(args.battery)
-        check_square(*model.input_shape[1:])
     image = baseline_visualize(model, target, init, config)
     if args.out is not None:
         write_ppm(image, args.out)

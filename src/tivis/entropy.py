@@ -30,7 +30,7 @@ import numpy as np
 from . import visualizer
 from .errors import TivisError
 from .parallel import fork_map
-from .transforms import check_square, constant_image
+from .transforms import constant_image
 
 DEFAULT_GRAY_LEVELS = tuple(range(0, 251, 10)) + (255,)  # 27 levels
 
@@ -210,13 +210,13 @@ def init_sweep(
     """
     if not gray_levels:
         raise ValueError("gray_levels must be nonempty")
-    # every level, the image's shape and the map's size are checked before any level runs
+    # every level, the run's settings and the map's size are checked before any level runs
     levels = sorted(check_gray_level(int(g)) for g in gray_levels)
     for a, b in zip(levels, levels[1:]):
         if a == b:
             raise ValueError(f"gray level {a} is given more than once")
+    visualizer.check_run(model, target_class, config, stop)
     _, h, w = model.input_shape
-    check_square(h, w)
     _check_second_order(*_map_shape(h, w, window, stride))
 
     def run_level(gray) -> InitRecord:

@@ -363,13 +363,15 @@ class Model:
     pixel_norm: str = "unit_01"
 
     def validate(self):
-        """Check the shape chain, the class count, and weight finiteness."""
+        """Check the shape chain, the class count and names, and weight finiteness."""
         if self.pixel_norm not in PIXEL_NORMS:
             raise ValueError(f"unknown pixel_norm {self.pixel_norm!r}")
         if len(self.input_shape) != 3 or self.input_shape[0] != 3:
             raise ShapeChainError(f"input_shape must be (3, H, W), got {self.input_shape}")
         if max(self.input_shape[1:]) > MAX_SIDE:
             raise ShapeChainError(f"input_shape {self.input_shape} exceeds the side limit {MAX_SIDE}")
+        if min(self.input_shape[1:]) < 1:
+            raise ShapeChainError(f"input_shape {self.input_shape} has a side below 1")
         shape = tuple(self.input_shape)
         for i, layer in enumerate(self.layers):
             try:
@@ -385,6 +387,9 @@ class Model:
             raise ShapeChainError(
                 f"final output shape {shape} does not match {len(self.class_names)} class names"
             )
+        for i, name in enumerate(self.class_names):
+            if name in self.class_names[:i]:
+                raise ValueError(f"class name {name!r} is given more than once")
         return self
 
     @property

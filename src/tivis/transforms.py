@@ -1,13 +1,14 @@
-"""Geometric transforms on square display-unit images.
+"""Geometric transforms on H x W display-unit images.
 
 Rotation and scaling use inverse mapping with bilinear resampling about the
 image center ((W-1)/2, (H-1)/2). Source coordinates that fall outside the
 original image contribute the value 0, so content clipped by the boundary
 is replenished with zeros. Outputs are clamped to [0, 255].
 
-The center convention makes rotations by multiples of 90 degrees exact
-grid permutations; those angles take an exact-trig path (sin/cos drawn
-from {-1, 0, 1}) so the results are bit-identical to index permutation.
+Rotations by multiples of 90 degrees take an exact-trig path (sin/cos drawn
+from {-1, 0, 1}). A half turn is then an exact double flip on any shape;
+quarter turns are exact grid permutations on a square image, and on other
+shapes they clip and fill with zeros.
 
 Mapping convention: x indexes columns, y indexes rows. rotate(image, 90)
 sends input[1][0] to output[0][0] on a 2x2 image, i.e. equals
@@ -44,23 +45,24 @@ def constant_image(height: int, width: int, value) -> np.ndarray:
     return img
 
 
-def check_square(height: int, width: int) -> None:
-    """Raise unless an image of height x width is square, as the rotations,
-    scalings and batteries need."""
-    if height != width:
-        raise ValueError(f"operation requires a square image, got {height}x{width}")
-
-
-def _require_square(image: np.ndarray) -> np.ndarray:
+def _as_image(image: np.ndarray) -> np.ndarray:
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[2] != 3:
         raise ValueError(f"expected an (H, W, 3) image, got shape {tuple(image.shape)}")
-    check_square(*image.shape[:2])
     return image
 
 
+def _center_offsets(h: int, w: int):
+    """(dx, dy, cx, cy): column offsets (1, w) and row offsets (h, 1) from the center."""
+    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+    dx = np.arange(w, dtype=np.float64)[None, :] - cx
+    dy = np.arange(h, dtype=np.float64)[:, None] - cy
+    return dx, dy, cx, cy
+
+
 def _bilinear_sample(image: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
-    """Sample image at real coordinates; out-of-range neighbors contribute 0.
+    """Sample image at real coordinates sx, sy, which broadcast to (H, W);
+    out-of-range neighbors contribute 0.
 
     The image is copied once into zero-padded planes (3, h + 4, w + 4), and
     each of the four corners is one flat gather from them. A coordinate
@@ -97,9 +99,8 @@ def _bilinear_sample(image: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.nd
 
 
 def rotate(image: np.ndarray, angle: float) -> np.ndarray:
-    """Rotate a square image by the given angle in degrees."""
-    image = _require_square(image)
-    n = image.shape[0]
+    """Rotate an image about its center by the given angle in degrees."""
+    image = _as_image(image)
     angle = float(angle)
     if not math.isfinite(angle):
         raise ValueError(f"rotate angle must be finite, got {angle}")
@@ -111,19 +112,16 @@ def rotate(image: np.ndarray, angle: float) -> np.ndarray:
     else:
         rad = math.radians(a)
         c, s = math.cos(rad), math.sin(rad)
-    center = (n - 1) / 2.0
-    coords = np.arange(n, dtype=np.float64) - center
-    dx = coords[None, :]
-    dy = coords[:, None]
+    dx, dy, cx, cy = _center_offsets(*image.shape[:2])
     # inverse map: rotate output coordinates by -angle
-    sx = c * dx + s * dy + center
-    sy = -s * dx + c * dy + center
-    return _bilinear_sample(image, np.broadcast_to(sx, (n, n)), np.broadcast_to(sy, (n, n)))
+    sx = c * dx + s * dy + cx
+    sy = -s * dx + c * dy + cy
+    return _bilinear_sample(image, sx, sy)
 
 
 def flip(image: np.ndarray, axis: str) -> np.ndarray:
     """Mirror the image: 'horizontal' reverses columns, 'vertical' reverses rows."""
-    image = np.asarray(image, dtype=np.float64)
+    image = _as_image(image)
     if axis in ("horizontal", "h"):
         return image[:, ::-1].copy()
     if axis in ("vertical", "v"):
@@ -137,18 +135,15 @@ def scale(image: np.ndarray, factor: float) -> np.ndarray:
     factor > 1 magnifies (outer content cropped away); factor < 1 shrinks
     (the border ring is replenished with 0).
     """
-    image = _require_square(image)
+    image = _as_image(image)
     factor = float(factor)
     if not 0.0 < factor <= SCALE_FACTOR_MAX:
         raise ValueError(f"scale factor must be in (0, {SCALE_FACTOR_MAX}], got {factor}")
-    n = image.shape[0]
-    center = (n - 1) / 2.0
+    dx, dy, cx, cy = _center_offsets(*image.shape[:2])
     # a tiny factor sends the outer coordinates to +-inf, which the
     # sampler's coordinate clip turns into zero contributions
     with np.errstate(over="ignore"):
-        coords = (np.arange(n, dtype=np.float64) - center) / factor + center
-    sx = np.broadcast_to(coords[None, :], (n, n))
-    sy = np.broadcast_to(coords[:, None], (n, n))
+        sx, sy = dx / factor + cx, dy / factor + cy
     return _bilinear_sample(image, sx, sy)
 
 
@@ -226,8 +221,8 @@ class TransformSchedule:
 
 def rotation_sweep(step_degrees: float) -> tuple:
     """Battery of rotations 0, step, 2*step, ... covering [0, 360)."""
-    if not step_degrees > 0:
-        raise ValueError(f"sweep step must be positive, got {step_degrees}")
+    if not (math.isfinite(step_degrees) and step_degrees > 0):
+        raise ValueError(f"sweep step must be finite and positive, got {step_degrees}")
     if 360.0 / step_degrees > MAX_TRANSFORMS:
         raise ValueError(f"sweep step {step_degrees} gives more than {MAX_TRANSFORMS} rotations")
     count = int(math.ceil(360.0 / step_degrees))
@@ -301,8 +296,8 @@ def run_battery(model, image: np.ndarray, target_class, battery) -> list:
     Entries are independent, so the output order always follows the battery
     order no matter how the evaluations are executed.
     """
-    image = nn.check_input(model, _require_square(image))
+    image = nn.check_input(model, image)
     target = model.class_index(target_class)
-    # transforms keep a finite square image's shape and finiteness, so the
-    # one check above covers every entry
+    # transforms keep a finite image's shape and finiteness, so the one
+    # check above covers every entry
     return [(spec, nn.confidence(model, apply_transform(image, spec), target)) for spec in battery]

@@ -41,7 +41,6 @@ from .transforms import (
     TransformSchedule,
     TransformSpec,
     apply_transform,
-    check_square,
     clamp,
     run_battery,
 )
@@ -89,7 +88,9 @@ class StoppingCriterion:
 DEFAULT_REVOLUTIONS = 3  # full passes over the schedule in the default budget
 
 
-def default_stop(schedule: TransformSchedule, q_test: float = 0.8) -> StoppingCriterion:
+def default_stop(
+    schedule: TransformSchedule, q_test: float = StoppingCriterion.q_test
+) -> StoppingCriterion:
     """Outer-iteration budget of DEFAULT_REVOLUTIONS full passes over the schedule."""
     return StoppingCriterion(
         q_test=q_test, max_outer_iterations=DEFAULT_REVOLUTIONS * len(schedule.steps)
@@ -148,6 +149,16 @@ def _direction(g: np.ndarray, mode: str) -> np.ndarray:
     return g / norm
 
 
+def check_run(model: Model, target_class, config: OptimConfig, stop: StoppingCriterion) -> int:
+    """Raise what would fail every pass of a run, before the first; return
+    the target's class index."""
+    if stop.q_test > config.q_target:
+        raise ValueError(
+            f"q_test ({stop.q_test}) must not exceed q_target ({config.q_target})"
+        )
+    return model.validate().class_index(target_class)
+
+
 def visualize(
     model: Model,
     target_class,
@@ -161,12 +172,7 @@ def visualize(
     Returns (image, trace). The image is the last optimized buffer; the
     trace records every outer iteration and the final status.
     """
-    if stop.q_test > config.q_target:
-        raise ValueError(
-            f"q_test ({stop.q_test}) must not exceed q_target ({config.q_target})"
-        )
-    check_square(*model.validate().input_shape[1:])  # every battery needs it
-    target = model.class_index(target_class)
+    target = check_run(model, target_class, config, stop)
     last = stop.max_outer_iterations - 1
 
     def battery(image):

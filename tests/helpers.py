@@ -192,7 +192,7 @@ def forward_direct(model, image):
 
 
 def bilinear_direct(image, source):
-    """Inverse-mapped bilinear resampling of a square (n, n, 3) image.
+    """Inverse-mapped bilinear resampling of an (h, w, 3) image.
 
     source(i, j) gives the real (x, y) coordinates that output row i,
     column j samples. Each channel sums the four corners in (x0, y0)
@@ -200,9 +200,9 @@ def bilinear_direct(image, source):
     the image, into a sum that starts at 0.0; the sum is clamped to
     [0, 255].
     """
-    n = image.shape[0]
+    h, w = image.shape[:2]
     out = np.zeros(image.shape)
-    for i, j in np.ndindex(n, n):
+    for i, j in np.ndindex(h, w):
         sx, sy = source(i, j)
         x0, y0 = math.floor(sx), math.floor(sy)
         fx, fy = sx - x0, sy - y0
@@ -215,7 +215,7 @@ def bilinear_direct(image, source):
         for ch in range(3):
             acc = 0.0
             for xi, yi, weight in corners:
-                if 0 <= xi < n and 0 <= yi < n:
+                if 0 <= xi < w and 0 <= yi < h:
                     acc += weight * float(image[yi, xi, ch])
             out[i, j, ch] = min(max(acc, 0.0), 255.0)
     return out
@@ -225,15 +225,14 @@ def rotate_direct(image, angle):
     """transforms.rotate by bilinear_direct: output (i, j) samples the point
     that rotating it by -angle about the center reaches; the sine and cosine
     of quarter turns are exact."""
-    n = image.shape[0]
     a = float(angle) % 360.0  # 360.0 for a tiny negative angle
     exact = {0.0: (1.0, 0.0), 90.0: (0.0, 1.0), 180.0: (-1.0, 0.0), 270.0: (0.0, -1.0), 360.0: (1.0, 0.0)}
     c, s = exact[a] if a in exact else (math.cos(math.radians(a)), math.sin(math.radians(a)))
-    center = (n - 1) / 2.0
+    cx, cy = (image.shape[1] - 1) / 2.0, (image.shape[0] - 1) / 2.0
 
     def source(i, j):
-        dx, dy = j - center, i - center
-        return c * dx + s * dy + center, -s * dx + c * dy + center
+        dx, dy = j - cx, i - cy
+        return c * dx + s * dy + cx, -s * dx + c * dy + cy
 
     return bilinear_direct(image, source)
 
@@ -241,10 +240,10 @@ def rotate_direct(image, angle):
 def scale_direct(image, factor):
     """transforms.scale by bilinear_direct: output (i, j) samples the point
     at 1 / factor of its offset from the center."""
-    center = (image.shape[0] - 1) / 2.0
+    cx, cy = (image.shape[1] - 1) / 2.0, (image.shape[0] - 1) / 2.0
 
     def source(i, j):
-        return (j - center) / factor + center, (i - center) / factor + center
+        return (j - cx) / factor + cx, (i - cy) / factor + cy
 
     return bilinear_direct(image, source)
 

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import hashlib
 import os
 import re
@@ -17,10 +19,11 @@ from tivis import cli
 from tivis.cli import _build_parser, main
 from tivis.model_io import load_model, save_model
 from tivis import nn
-from tivis.nn import MAX_VALUES, Dense, Flatten, Model
+from tivis.nn import MAX_VALUES, OBJECTIVES, Dense, Flatten, Model
 from tivis.ppm import read_ppm, write_ppm
 from tivis.shapes import load_dataset
-from tivis.training import evaluate
+from tivis.training import TrainConfig, evaluate
+from tivis.visualizer import GRADIENT_MODES, OptimConfig, StoppingCriterion
 
 
 @pytest.fixture
@@ -301,6 +304,16 @@ def test_train_takes_dataset_class_names(tmp_path):
     assert load_model(out).class_names == ("a", "b", "c", "d", "e", "f")
 
 
+def test_train_rejects_a_repeated_dataset_class_name(tmp_path, capsys):
+    ds = _one_per_class_dataset(tmp_path, "classes a b c d e a")
+    capsys.readouterr()
+    out = tmp_path / "m.gbxm"
+    code = main(["train", "--dataset", str(ds), "--epochs", "1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: ValueError: class name 'a' is given more than once\n"
+    assert not out.exists()
+
+
 def test_train_dataset_class_count_must_match_head(tmp_path, capsys):
     ds = _one_per_class_dataset(tmp_path, "classes a b c d e f g")
     capsys.readouterr()
@@ -385,17 +398,76 @@ def test_baseline_battery_is_parsed_before_the_optimization(tmp_path, confident_
     assert not out.exists()
 
 
-def test_baseline_battery_rejects_a_non_square_model_before_the_optimization(
-    tmp_path, monkeypatch, capsys
-):
+def test_baseline_battery_runs_on_a_non_square_model(tmp_path, capsys):
     path = tmp_path / "wide.gbxm"
     save_model(conv_relu_dense_model(8, 6), path)
-    monkeypatch.setattr(cli, "baseline_visualize", lambda *args: pytest.fail("the pass ran"))
-    code = main(["baseline", "--model", str(path), "--class", "a", "--battery", "rot:10"])
+    argv = ["baseline", "--model", str(path), "--class", "a", "--battery", "rot:10", "--max-inner", "20"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    words = captured.out.split()
+    assert words[0::2] == ["confidence", "battery_min", "battery_mean"]
+
+
+def test_sweep_init_raises_a_run_wide_error_once(confident_model_file, monkeypatch, capsys):
+    import tivis.visualizer as viz
+
+    monkeypatch.setattr(viz, "gradient_step", lambda *args: pytest.fail("a step ran"))
+    argv = ["sweep-init", "--model", str(confident_model_file), "--class", "beta"]
+    code = main([*argv, "--q-test", "0.995", "--grays", "0,10"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == "error: ValueError: operation requires a square image, got 8x6\n"
+    assert captured.err == "error: ValueError: q_test (0.995) must not exceed q_target (0.99)\n"
+
+
+def _cli_in_new_process(*argv):
+    """The completed `python -m tivis.cli` run of argv in a new interpreter,
+    whose stderr carries any warning numpy prints."""
+    env = dict(os.environ)
+    src = str(Path(nn.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "tivis.cli", *map(str, argv)], env=env, capture_output=True, text=True
+    )
+
+
+# layers over an input of side 0: flatten gives 0 features, the global average of none is nan
+_ZERO_SIDE_LAYERS = {
+    "flatten": ("layer flatten\nlayer dense out=2 in=0 w=0:0 b=0:16\n", 16),
+    "avgpool_global": ("layer avgpool_global\nlayer dense out=2 in=3 w=0:48 b=48:16\n", 64),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ZERO_SIDE_LAYERS))
+def test_zero_side_model_is_one_error_line(tmp_path, kind):
+    layers, blob = _ZERO_SIDE_LAYERS[kind]
+    manifest = f"pixel_norm unit_01\ninput_shape 3 0 0\nclasses a b\n{layers}blob_bytes {blob}\n"
+    write_model_file(tmp_path / "m.gbxm", manifest.encode(), bytes(blob))
+    args = ["--class", "a", "--max-outer", "1", "--max-inner", "1", "--out", tmp_path / "e.ppm"]
+    proc = _cli_in_new_process("visualize", "--model", tmp_path / "m.gbxm", *args)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: ShapeChainError: input_shape (3, 0, 0) has a side below 1\n"
+    assert not (tmp_path / "e.ppm").exists()
+
+
+def test_repeated_class_name_is_rejected(tmp_path, sample_ppm, capsys):
+    n = 16
+    manifest = (
+        f"pixel_norm unit_01\ninput_shape 3 {n} {n}\nclasses a a\nlayer flatten\n"
+        f"layer dense out=2 in={3 * n * n} w=0:{48 * n * n} b={48 * n * n}:16\n"
+        f"blob_bytes {48 * n * n + 16}\n"
+    )
+    path = tmp_path / "m.gbxm"
+    write_model_file(path, manifest.encode(), bytes(48 * n * n + 16))
+    with pytest.raises(ValueError, match=r"^class name 'a' is given more than once$"):
+        load_model(path)
+    code = main(["classify", "--model", str(path), str(sample_ppm)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: ValueError: class name 'a' is given more than once\n"
 
 
 def test_classify_empty_variants_reported(confident_model_file, sample_ppm, capsys):
@@ -462,6 +534,27 @@ def test_minimal_argv_parses(command):
     # so that each usage error below comes from what its case adds or takes away
     args = _build_parser().parse_args([command, *_MINIMAL_ARGV[command]])
     assert args.command == command
+
+
+def test_minimal_argv_takes_the_library_defaults():
+    # the flags' defaults and choices are read from the configs they fill, seed apart
+    parser = _build_parser()
+
+    def parse(command):
+        return parser.parse_args([command, *_MINIMAL_ARGV[command]])
+
+    for command in ("visualize", "baseline", "sweep-init"):
+        assert cli._optim_config(parse(command)) == OptimConfig(), command
+    for command in ("visualize", "sweep-init"):
+        assert parse(command).q_test == StoppingCriterion().q_test, command
+    train = cli._train_config(parse("train"))
+    assert train.seed == 0
+    assert dataclasses.replace(train, seed=TrainConfig().seed) == TrainConfig()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("visualize", "baseline", "sweep-init"):
+        choices = {a.dest: a.choices for a in commands.choices[command]._actions}
+        assert choices["gradient"] == GRADIENT_MODES
+        assert choices["objective"] == OBJECTIVES
 
 
 @pytest.mark.parametrize("argv, message", _usage_errors())
@@ -630,13 +723,7 @@ def test_overflow_is_one_error_line(tmp_path, command):
         "classify": [str(tmp_path / "white.ppm")],
         "visualize": ["--class", "a", "--init", "255", "--out", str(tmp_path / "v.ppm")],
     }[command]
-    env = dict(os.environ)
-    src = str(Path(nn.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "tivis.cli", command, "--model", str(tmp_path / "m.gbxm"), *args],
-        env=env, capture_output=True, text=True,
-    )
+    proc = _cli_in_new_process(command, "--model", tmp_path / "m.gbxm", *args)
     assert proc.returncode == 1
     assert proc.stderr == "error: NonFiniteError: layer 0 (conv2d) produced non-finite values\n"
 

@@ -17,6 +17,7 @@ from helpers import (
 
 from tivis import entropy as E
 from tivis import parallel as P
+from tivis.errors import InvalidClassError
 from tivis.reports import sweep_report
 from tivis.transforms import constant_image
 from tivis.visualizer import OptimConfig, StoppingCriterion
@@ -367,18 +368,37 @@ class TestInitSweep:
                 model, 0, schedule, config, stop, gray_levels=(0, 128), window=window, stride=stride
             )
 
-    def test_non_square_input_rejected_before_any_step(self, monkeypatch):
-        # its entropy map fits; its batteries cannot rotate it
+    def test_non_square_input_runs_every_level(self):
+        # its entropy map fits, and its batteries turn it about ((W-1)/2, (H-1)/2)
         model = conv_relu_dense_model(80, 64)
+        _, schedule, _, stop = self._setup()
+        config = OptimConfig(max_inner_steps=20)
+        report = E.init_sweep(model, 0, schedule, config, stop, gray_levels=(0, 128, 255))
+        assert [rec.gray for rec in report.records] == [0, 128, 255]
+        assert [rec.error for rec in report.records] == [None, None, None]
+        assert all(rec.second_order_total is not None for rec in report.records)
+
+    @pytest.mark.parametrize(
+        "target, q_test, error, message",
+        [
+            (0, 0.995, ValueError, r"^q_test \(0\.995\) must not exceed q_target \(0\.99\)$"),
+            ("zzz", 0.8, InvalidClassError, r"^unknown class name 'zzz'$"),
+        ],
+    )
+    def test_run_wide_errors_raise_before_any_step(
+        self, monkeypatch, target, q_test, error, message
+    ):
+        # an error that fails every level is raised once, not recorded per level
         import tivis.visualizer as viz
 
+        model, schedule, _, stop = self._setup()
         steps = []
         step = viz.gradient_step
         monkeypatch.setattr(viz, "gradient_step", lambda *args: steps.append(1) or step(*args))
         monkeypatch.setattr(P, "_usable_cpus", lambda: 1)  # every step in this process
-        _, schedule, config, stop = self._setup()
-        with pytest.raises(ValueError, match="operation requires a square image, got 80x64"):
-            E.init_sweep(model, 0, schedule, config, stop)
+        stop = StoppingCriterion(q_test=q_test, max_outer_iterations=stop.max_outer_iterations)
+        with pytest.raises(error, match=message):
+            E.init_sweep(model, target, schedule, OptimConfig(), stop, gray_levels=(0, 128, 255))
         assert steps == []
 
     def test_default_gray_levels_match_contract(self):

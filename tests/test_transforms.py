@@ -45,9 +45,17 @@ class TestRotate:
         for angle in (0, 13.7, 90, 222.2):
             np.testing.assert_array_equal(T.rotate(zero, angle), zero)
 
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            T.rotate(np.zeros((4, 6, 3)), 10)
+    @pytest.mark.parametrize("shape", [(8, 6), (5, 12), (1, 7), (7, 7)], ids="{0[0]}x{0[1]}".format)
+    def test_any_shape_matches_the_oracle(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        img = rng.uniform(-80.0, 340.0, shape + (3,))
+        for angle in (0, 90, 180, 270, 37.5, -90, 123):
+            assert T.rotate(img, angle).tobytes() == rotate_direct(img, angle).tobytes(), angle
+        for factor in (0.5, 0.9, 1.7, 8.0):
+            assert T.scale(img, factor).tobytes() == scale_direct(img, factor).tobytes(), factor
+        # about the center ((W-1)/2, (H-1)/2), a half turn is a double flip
+        img = np.floor(rng.uniform(0, 256, shape + (3,)))
+        assert T.rotate(img, 180).tobytes() == img[::-1, ::-1].copy().tobytes()
 
     @pytest.mark.parametrize("angle", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_angle_rejected(self, angle):
@@ -88,6 +96,10 @@ class TestFlip:
     def test_bad_axis(self):
         with pytest.raises(ValueError):
             T.flip(_random_image(5), "diagonal")
+
+    def test_non_image_rejected(self):
+        with pytest.raises(ValueError, match=r"expected an \(H, W, 3\) image, got shape \(4, 6\)"):
+            T.flip(np.zeros((4, 6)), "horizontal")
 
 
 class TestScale:
@@ -235,11 +247,14 @@ class TestSpecsAndSchedules:
             "rot:10x100000000000",
             "rot-sweep:1e-300",
             "rot:10x3600,flip:h",
+            "rot-sweep:inf",
+            "rot-sweep:inf,rot:10",
+            "rot-sweep:nan",
         ):
             with pytest.raises(ValueError):
                 T.parse_transform_list(bad)
 
-    @pytest.mark.parametrize("part", ["flip:x", "rot:10x1e3", "rot:10x"])
+    @pytest.mark.parametrize("part", ["flip:x", "rot:10x1e3", "rot:10x", "rot-sweep:inf", "rot-sweep:nan"])
     def test_parse_error_names_the_part(self, part):
         with pytest.raises(ValueError, match=f"^bad transform spec '{part}': "):
             T.parse_transform_list(f"rot:10,{part}")

@@ -16,12 +16,12 @@ from tivis.transforms import (
     constant_image,
     default_schedule,
     parse_transform_list,
+    run_battery,
 )
 from tivis.visualizer import (
     OptimConfig,
     StoppingCriterion,
     baseline_visualize,
-    default_stop,
     optimize_to_confidence,
     visualize,
 )
@@ -174,15 +174,22 @@ class TestVisualize:
                 OptimConfig(q_target=0.9), StoppingCriterion(q_test=0.95),
             )
 
-    def test_non_square_input_is_rejected_before_any_step(self, call_log):
-        # every battery rotates, so a pass before the first battery is wasted
+    def test_non_square_input_runs_and_reproduces_its_battery(self, monkeypatch):
+        one_blas_thread(monkeypatch)  # so the helper forks when two CPUs are usable
         model, schedule = conv_relu_dense_model(8, 6), default_schedule()
-        with pytest.raises(ValueError, match="operation requires a square image, got 8x6"):
-            visualize(
-                model, 0, constant_image(8, 6, 0.0), schedule,
-                OptimConfig(max_inner_steps=50), default_stop(schedule),
-            )
-        assert call_log.calls("step") == []
+        config, stop = OptimConfig(max_inner_steps=50), StoppingCriterion(max_outer_iterations=4)
+        runs = []
+        for cpus in (1, 2):
+            _use_cpus(monkeypatch, cpus)
+            runs.append(visualize(model, 0, constant_image(8, 6, 128.0), schedule, config, stop))
+            assert multiprocessing.active_children() == []
+        (alone, alone_trace), (forked, forked_trace) = runs
+        assert alone.tobytes() == forked.tobytes()
+        assert [repr(r) for r in alone_trace.records] == [repr(r) for r in forked_trace.records]
+        assert alone.shape == (8, 6, 3) and len(alone_trace.records) == 4
+        confs = np.array([c for _, c in run_battery(model, alone, 0, schedule.battery)])
+        last = alone_trace.records[-1]
+        assert (last.battery_min, last.battery_mean) == (float(confs.min()), float(confs.mean()))
 
     def test_trace_bit_reproducible(self):
         model = _linear_model()
