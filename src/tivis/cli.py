@@ -197,8 +197,16 @@ def _load_init(model, text):
     return constant_image(h, w, entropy_mod.check_gray_level(gray))
 
 
+def _int_fields(flag: str, text: str) -> list:
+    parts = text.split(",")
+    for part in parts:  # ASCII decimal digits only, which int() alone does not insist on
+        if not (part.isascii() and part.removeprefix("-").isdigit()):
+            raise ValueError(f"{flag} field {part!r} is not an integer")
+    return [int(part) for part in parts]
+
+
 def _parse_rect(text) -> ScreenRect:
-    parts = [int(t) for t in text.split(",")]
+    parts = _int_fields("--rect", text)
     if len(parts) != 4:
         raise ValueError(f"rect must be x,y,w,h, got {text!r}")
     return ScreenRect(*parts)
@@ -331,7 +339,7 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_sweep_init(args) -> int:
     model, target, schedule, config, stop = _run_setup(args)
-    gray_levels = tuple(int(g) for g in args.grays.split(","))
+    gray_levels = tuple(_int_fields("--grays", args.grays))
     report = entropy_mod.init_sweep(
         model,
         target,

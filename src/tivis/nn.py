@@ -86,14 +86,12 @@ def _normalize(pixel_norm: str, x: np.ndarray) -> np.ndarray:
 # MaxPool2x2, implements:
 #   out_shape(shape)      per-sample shape propagation, used for validation
 #   forward(x, grads="weights") -> (y, cache)
-#                         the cache holds what the gradients grads names read:
-#                         "weights" all that backward and weight_grads read;
-#                         "input" only what backward reads, so Conv2d drops its
-#                         im2col columns and Dense its input; None nothing, so
-#                         the cache is None and the pools skip their winners
+#                         "weights" caches all that backward and weight_grads
+#                         read; None caches nothing, so the cache is None and
+#                         the pools skip their winners
 #   backward(dy, cache) -> (dx, None), the input gradient alone
 # Layers with parameters also implement weight_grads(dy, cache) -> (dW, db),
-# the batch's sums, shaped like weight and bias, from a "weights" cache.
+# the batch's sums, shaped like weight and bias.
 # Batched activations: images (N, C, H, W), vectors (N, D).
 
 
@@ -164,9 +162,7 @@ class Conv2d:
         y = np.matmul(wmat, cols)
         y += self.bias[:, None]
         y = y.reshape(n, oc, ho, wo)
-        if grads == "weights":
-            return y, (x.shape, cols)
-        return y, (x.shape,) if grads else None
+        return y, ((x.shape, cols) if grads else None)
 
     def backward(self, dy, cache):
         n, _, h, w = cache[0]
@@ -341,7 +337,7 @@ class Dense:
         return (out_dim,)
 
     def forward(self, x, grads="weights"):
-        return x @ self.weight.T + self.bias, (x if grads == "weights" else None)
+        return x @ self.weight.T + self.bias, (x if grads else None)
 
     def backward(self, dy, cache):
         return dy @ self.weight, None
@@ -464,8 +460,7 @@ def plan(model: Model) -> list:
 
 def forward_batch(steps: list, x: np.ndarray, grads: str | None = "weights"):
     """Run x through steps, a plan or a slice of one: (output, caches), one
-    (step, cache) per step, for a backward_batch that takes grads, which each
-    step's forward takes: "weights", "input" or None, which keeps no caches."""
+    (step, cache) per step for backward_batch; grads=None keeps no caches."""
     caches = []
     for i, step in steps:
         x, cache = step.forward(x, grads)
@@ -477,8 +472,7 @@ def forward_batch(steps: list, x: np.ndarray, grads: str | None = "weights"):
 
 
 def backward_batch(caches: list, d: np.ndarray, param_grads: bool = False):
-    """Back-propagate d, the gradient at the output, through forward_batch's
-    caches; param_grads needs caches kept for "weights".
+    """Back-propagate d, the gradient at the output, through forward_batch's caches.
 
     Returns (dx, grads): the input gradient and []; or, with param_grads,
     None and the (layer, layer.weight_grads) of each layer with parameters,
@@ -517,7 +511,7 @@ def confidence(model: Model, image: np.ndarray, target: int) -> float:
 def gradient_step(model: Model, x: np.ndarray, target: int, objective: str):
     """(confidence, input gradient) at a (3, H, W) display-unit image x;
     unchecked, like confidence."""
-    logits, caches = forward_batch(plan(model), _normalize(model.pixel_norm, x)[None], "input")
+    logits, caches = forward_batch(plan(model), _normalize(model.pixel_norm, x)[None])
     conf = softmax(logits[0])
     dlogits = np.zeros_like(logits)
     if objective == "softmax_confidence":

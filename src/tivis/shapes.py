@@ -122,18 +122,13 @@ def _membership(name: str, u: np.ndarray, v: np.ndarray, r: float) -> np.ndarray
         iv = np.floor((v + r) / cell).astype(np.int64)
         return box & ((iu + iv) % 2 == 0)
     if name == "hex_outline":
-        thickness = 0.22
-        return _hexagon(u, v, r) & ~_hexagon(u, v, r * (1.0 - thickness))
+        # inside the regular hexagon of circumradius r, outside the one of r * (1 - thickness):
+        # d is the largest distance along the three slab normals at 0/60/120 deg
+        thickness, half_sqrt3 = 0.22, math.sqrt(3.0) / 2.0
+        d = np.maximum(np.abs(u), np.abs(0.5 * u + half_sqrt3 * v))
+        d = np.maximum(d, np.abs(-0.5 * u + half_sqrt3 * v))
+        return (d <= r * half_sqrt3) & (d > r * (1.0 - thickness) * half_sqrt3)
     raise ValueError(f"unknown shape class {name!r}")
-
-
-def _hexagon(u: np.ndarray, v: np.ndarray, circumradius: float) -> np.ndarray:
-    """Regular hexagon: intersection of three slabs with normals at 0/60/120 deg."""
-    apothem = circumradius * (math.sqrt(3.0) / 2.0)
-    p0 = np.abs(u)
-    p60 = np.abs(0.5 * u + (math.sqrt(3.0) / 2.0) * v)
-    p120 = np.abs(-0.5 * u + (math.sqrt(3.0) / 2.0) * v)
-    return (p0 <= apothem) & (p60 <= apothem) & (p120 <= apothem)
 
 
 def generate_dataset(seed: int, count_per_class: int) -> ShapeDataset:

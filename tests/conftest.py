@@ -7,9 +7,22 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from tivis import nn
+from tivis import nn, parallel
 from tivis.shapes import generate_dataset
 from tivis.training import REFERENCE_SEED, TrainConfig, reference_architecture, train
+
+
+def pytest_report_header(config):
+    # the golden bits hold under one OpenBLAS kernel, and whether helpers fork
+    # follows from the BLAS threads and the CPUs
+    threads = parallel._BLAS_THREADS or "one per CPU"
+    return (f"tivis: OpenBLAS kernel {parallel.openblas_corename()}, BLAS threads {threads}, "
+            f"usable CPUs {parallel._usable_cpus()}, helpers fork: {parallel._plan(2) > 1}")
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    if config.get_verbosity() < 0:  # -q hides the header
+        terminalreporter.write_line(pytest_report_header(config))
 
 
 @pytest.fixture(scope="session")

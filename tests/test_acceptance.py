@@ -163,6 +163,11 @@ def test_criterion_5_desk_scale_central_claim(reference_run, reference_dataset):
         def battery_min(img):
             return min(c for _, c in run_battery(model, img, target, schedule.battery))
 
+        def total_variation(img):
+            # the mean absolute difference between vertical neighbours plus
+            # that between horizontal neighbours, in display units
+            return float(np.abs(np.diff(img, axis=0)).mean() + np.abs(np.diff(img, axis=1)).mean())
+
         def run(r):
             if r is None:  # main seeded run from the black init with default optimization
                 init = constant_image(64, 64, 0.0)
@@ -174,7 +179,8 @@ def test_criterion_5_desk_scale_central_claim(reference_run, reference_dataset):
             )
             invariant_img, _ = visualize(model, target, init, schedule, pair_config, stop)
             baseline_img = baseline_visualize(model, target, init, pair_config)
-            return battery_min(invariant_img), battery_min(baseline_img)
+            return (battery_min(invariant_img), battery_min(baseline_img),
+                    total_variation(invariant_img), total_variation(baseline_img))
 
         # the main run and the ten pairs are independent runs, spread over
         # forked workers
@@ -192,8 +198,12 @@ def test_criterion_5_desk_scale_central_claim(reference_run, reference_dataset):
             58, 88, 84, 98, 173, 222, 150, 135, 138, 152, 176, 166, 84, 124, 225, 210,
         ], kernel
 
-        wins = sum(inv > base for inv, base in pairs)
+        wins = sum(inv > base for inv, base, _, _ in pairs)
         assert wins >= 8, f"invariant beat baseline in only {wins}/10 runs"
+        # the paper's noise claim: the invariant image is the smoother one
+        smoother = sum(inv < base for _, _, inv, base in pairs)
+        tvs = [(round(inv, 2), round(base, 2)) for _, _, inv, base in pairs]
+        assert smoother >= 8, f"invariant image smoother in only {smoother}/10 runs: {tvs}"
 
         total = train_seconds + (time.time() - t0)
         assert total < 1800.0, f"criterion took {total:.0f}s"

@@ -369,10 +369,30 @@ def test_classify_rect_without_screened_reported(confident_model_file, sample_pp
 
 
 @pytest.mark.parametrize(
+    "command, flag, value, field",
+    [
+        (["sweep-init", "--class", "beta", "--report"], "--grays", "0,1.5", "1.5"),
+        (["sweep-init", "--class", "beta", "--report"], "--grays", "0,1_0", "1_0"),
+        (["screen", "--out"], "--rect", "1,2,3,x", "x"),
+        (["screen", "--out"], "--rect", "1,2, 3,\u0663", " 3"),
+    ],
+    ids=["grays", "grays-underscore", "rect", "rect-space-and-non-ascii-digit"],
+)
+def test_bad_integer_field_names_its_flag(tmp_path, confident_model_file, sample_ppm, capsys,
+                                          command, flag, value, field):
+    out = tmp_path / "out"
+    argv = command + [str(out), "--model", str(confident_model_file), flag, value]
+    code = main(argv + (["--image", str(sample_ppm)] if command[0] == "screen" else []))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: ValueError: {flag} field {field!r} is not an integer\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv, error",
     [
         (["sweep-init", "--grays", "", "--max-inner", "1", "--max-outer", "1"],
-         "ValueError: invalid literal for int() with base 10: ''"),
+         "ValueError: --grays field '' is not an integer"),
         (["baseline", "--battery", ""], "ValueError: no transforms found in ''"),
         (["visualize", "--out", "", "--max-inner", "1", "--max-outer", "1"],
          "FileNotFoundError: [Errno 2] No such file or directory: ''"),

@@ -214,9 +214,6 @@ class TestLayerContract:
         y_only, no_cache = layer.forward(x, None)
         assert no_cache is None
         _assert_same_bytes(y_only, y)
-        y_input, input_cache = layer.forward(x, "input")
-        _assert_same_bytes(y_input, y)
-        _assert_same_bytes(layer.backward(dy, input_cache)[0], dx)
         if hasattr(layer, "weight_grads"):
             dw, db = layer.weight_grads(dy, cache)
             assert dw.shape == layer.weight.shape and db.shape == layer.bias.shape
@@ -305,7 +302,7 @@ class TestForwardOnly:
         model = self._pool_without_relu_model(3)
         model.layers[layer].weight[:] = 1e308
         x = nn.normalize_images(model.pixel_norm, np.full((1, 9, 9, 3), 255.0))
-        for grads in ("weights", "input", None):
+        for grads in ("weights", None):
             with pytest.raises(NonFiniteError, match=rf"^layer {layer} \({kind}\) produced"):
                 nn.forward_batch(nn.plan(model), x, grads=grads)
 
@@ -395,7 +392,7 @@ class TestBackward:
         # stride * ic * wp values of its one row are the floor, 1.5 MB
         rng = np.random.default_rng(16)
         conv = nn.Conv2d(weight=rng.normal(size=(12, 3, 3, 3)), bias=np.zeros(12), stride=1000)
-        y, cache = conv.forward(rng.normal(size=(1, 3, 64, 64)), "input")
+        y, cache = conv.forward(rng.normal(size=(1, 3, 64, 64)))
         dy = rng.normal(size=y.shape)
         conv.backward(dy, cache)
         tracemalloc.start()
@@ -438,53 +435,6 @@ class TestBackward:
             for (_, (dw, db)), (_, (want_dw, want_db)) in zip(grads, want):
                 _assert_same_bytes(dw, want_dw)
                 _assert_same_bytes(db, want_db)
-
-
-class TestInputGradientCaches:
-    """forward_batch(..., "input") caches only what the input gradient reads."""
-
-    def test_gradient_step_peaks_below_2_5_mb(self):
-        # with the conv layers' im2col columns cached it peaked at 3.6 MB
-        model = reference_architecture(7)
-        x = np.random.default_rng(0).uniform(0, 255, (3, 64, 64))
-        nn.gradient_step(model, x, 2, "softmax_confidence")
-        tracemalloc.start()
-        try:
-            nn.gradient_step(model, x, 2, "softmax_confidence")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5e6
-
-    def test_input_caches_give_the_weight_caches_bits(self):
-        rng = np.random.default_rng(14)
-        for seed in range(9):  # all three variants
-            model, img = random_small_model(seed)
-            x = nn.normalize_images(model.pixel_norm, np.stack([img, img[::-1]]))
-            logits, caches = nn.forward_batch(nn.plan(model), x, "input")
-            want_logits, want_caches = nn.forward_batch(nn.plan(model), x, "weights")
-            _assert_same_bytes(logits, want_logits)
-            for step, cache in caches:
-                if step.kind == "conv2d":
-                    assert len(cache) == 1  # the input shape, without the columns
-            d = rng.normal(size=logits.shape)
-            _assert_same_bytes(nn.backward_batch(caches, d)[0], nn.backward_batch(want_caches, d)[0])
-
-    def test_conv_forward_alone_keeps_the_weight_gradient_cache(self):
-        rng = np.random.default_rng(15)
-        conv = nn.Conv2d(weight=rng.normal(size=(4, 3, 3, 3)), bias=rng.normal(size=4), padding=1)
-        x = rng.normal(size=(2, 3, 6, 7))
-        y, cache = conv.forward(x)
-        dy = rng.normal(size=y.shape)
-        dx, _ = conv.backward(dy, cache)
-        dw, db = conv.weight_grads(dy, cache)
-        want_dx, want_dw, want_db = conv2d_backward_direct(x, conv.weight, 1, 1, dy)
-        for got, want in ((dx, want_dx), (dw, want_dw), (db, want_db)):
-            assert np.max(np.abs(got - want)) <= 1e-10
-        y_input, cache_input = conv.forward(x, "input")
-        _assert_same_bytes(y_input, y)
-        assert cache_input == (x.shape,)
-        _assert_same_bytes(conv.backward(dy, cache_input)[0], dx)
 
 
 class TestSoftmax:
