@@ -448,7 +448,9 @@ def check_input(model: Model, image: np.ndarray) -> np.ndarray:
 def plan(model: Model) -> list:
     """model's layers as the (layer index, step) pairs a pass runs: a Relu
     followed by a MaxPool2x2 is one ReluMaxPool2x2 step at the pool's index.
-    A plan does not follow a later change to model.layers: build one per pass."""
+    A plan holds the layers themselves, so it follows a change to their weights
+    but not to model.layers: each gradient step and forward call builds its
+    own, and training one per run."""
     steps = []
     for i, layer in enumerate(model.layers):
         if layer.kind == "maxpool2x2" and steps and steps[-1][1].kind == "relu":

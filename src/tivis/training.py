@@ -127,12 +127,8 @@ def _cross_entropy_and_dlogits(logits: np.ndarray, labels: np.ndarray):
 
 def train(dataset: ShapeDataset, model: Model, config: TrainConfig) -> TrainResult:
     """SGD with a fixed learning rate; returns the trained model and log."""
-    if len(dataset) == 0:
-        raise ValueError("dataset is empty")
     _check_inputs(model, dataset)
     labels = dataset.labels
-    if labels.min() < 0 or labels.max() >= model.num_classes:
-        raise ValueError(f"dataset labels must lie in [0, {model.num_classes})")
     model = copy.deepcopy(model)
 
     val_idx, train_idx = _split_indices(len(dataset), config)
@@ -260,13 +256,20 @@ def evaluate(model: Model, dataset: ShapeDataset) -> float:
 
 
 def _check_inputs(model: Model, dataset: ShapeDataset) -> None:
-    """Validate the model, and that it takes the dataset's images."""
+    """Validate the model, and that the dataset is not empty, that the model
+    takes its images and that each of its labels names one of the model's
+    classes."""
+    if len(dataset) == 0:
+        raise ValueError("dataset is empty")
     model.validate()
     h, w = dataset.images.shape[1:3]
     if model.input_shape != (3, h, w):
         raise ShapeMismatchError(
             f"model input {model.input_shape} does not match dataset images (3, {h}, {w})"
         )
+    labels = dataset.labels
+    if labels.min() < 0 or labels.max() >= model.num_classes:
+        raise ValueError(f"dataset labels must lie in [0, {model.num_classes})")
 
 
 def validation_split(dataset: ShapeDataset, config: TrainConfig) -> ShapeDataset:

@@ -7,16 +7,19 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import golden
 from tivis import nn, parallel
 from tivis.shapes import generate_dataset
 from tivis.training import REFERENCE_SEED, TrainConfig, reference_architecture, train
 
 
 def pytest_report_header(config):
-    # the golden bits hold under one OpenBLAS kernel, and whether helpers fork
+    # the golden bits depend on the OpenBLAS kernel, and whether helpers fork
     # follows from the BLAS threads and the CPUs
+    kernel = parallel.openblas_corename()
+    recorded = "yes" if kernel in golden.COLUMNS else f"no (recorded: {', '.join(golden.COLUMNS)})"
     threads = parallel._BLAS_THREADS or "one per CPU"
-    return (f"tivis: OpenBLAS kernel {parallel.openblas_corename()}, BLAS threads {threads}, "
+    return (f"tivis: OpenBLAS kernel {kernel}, golden column: {recorded}, BLAS threads {threads}, "
             f"usable CPUs {parallel._usable_cpus()}, helpers fork: {parallel._plan(2) > 1}")
 
 

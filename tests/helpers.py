@@ -21,17 +21,10 @@ import numpy as np
 
 from tivis import nn
 from tivis import parallel
-from tivis.parallel import BLAS_THREAD_VARS, openblas_corename
+from tivis.parallel import BLAS_THREAD_VARS
 from tivis.rng import _F53, _GOLDEN, _MASK, _MIX1, _MIX2
 from tivis.shapes import ShapeDataset
 from tivis.training import _split_indices
-
-
-def blas_kernel_note() -> str:
-    """Failure message for an assertion of golden bits, which were recorded
-    under OpenBLAS's SkylakeX kernel: another kernel orders a DGEMM's sums
-    differently, and gives other bits."""
-    return f"golden bits recorded under OpenBLAS kernel SkylakeX; this run uses {openblas_corename()}"
 
 
 # --------------------------------------------------------------------------
@@ -106,6 +99,31 @@ def conv2d_input_grad_by_windows(weight, stride, padding, xshape, dy):
     for ki in range(kh):
         for kj in range(kw):
             dxp[:, :, ki : ki + s * ho : s, kj : kj + s * wo : s] += dcols[:, :, ki, kj]
+    return dxp[:, :, p : p + h, p : p + w]
+
+
+def conv2d_input_grad_by_scatter(weight, stride, padding, xshape, dy):
+    """Conv input gradient from Conv2d.backward's own tap columns, each tap's
+    added into its 2-D window in (ki, kj) order.
+
+    The columns come from the engine's matmul, (tap, channel) rows over dy
+    padded to rows * wp columns, so its bits do not depend on how a BLAS
+    kernel orders that product's sums; what is checked is the flat col2im's
+    scatter alone.
+    """
+    n, c, h, w = xshape
+    oc, ic, kh, kw = weight.shape
+    ho, wo = dy.shape[2], dy.shape[3]
+    s, p = stride, padding
+    rows, wp = nn._col2im_rows(h, ho, kh, s, p), w + 2 * p
+    dyp = np.zeros((n, oc, rows, wp))
+    dyp[:, :, :ho, :wo] = dy
+    wt = weight.transpose(2, 3, 1, 0).reshape(kh * kw * ic, oc)
+    dcols = np.matmul(wt, dyp.reshape(n, oc, rows * wp)).reshape(n, kh, kw, ic, rows, wp)
+    dxp = np.zeros((n, c, h + 2 * p, w + 2 * p))
+    for ki in range(kh):
+        for kj in range(kw):
+            dxp[:, :, ki : ki + s * ho : s, kj : kj + s * wo : s] += dcols[:, ki, kj, :, :ho, :wo]
     return dxp[:, :, p : p + h, p : p + w]
 
 

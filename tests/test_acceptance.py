@@ -13,8 +13,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+import golden
 from helpers import (
-    blas_kernel_note,
     cooccurrence_direct,
     entropy_direct,
     fd_input_gradient,
@@ -187,16 +187,12 @@ def test_criterion_5_desk_scale_central_claim(reference_run, reference_dataset):
         (image, trace), *pairs = fork_map(run, [None, *range(10)])
         assert trace.status == "converged"
         assert trace.records[-1].battery_min >= 0.8
-        # golden bits of this run, recorded with numpy 2.4.6 and OpenBLAS
-        # 0.3.31 (scipy-openblas64); a change to any of them breaks the
+        # golden bits of this run; a change to any of them breaks the
         # bit-reproducibility contract
-        kernel = blas_kernel_note()
-        assert E.image_id(image) == "d2cc1322922c5b01", kernel
-        assert trace.records[-1].battery_min == 0.8301733193157064, kernel
-        assert [rec.inner_steps for rec in trace.records] == [
-            494, 172, 255, 319, 319, 295, 297, 298, 212, 196, 59, 192, 211, 152, 96, 98,
-            58, 88, 84, 98, 173, 222, 150, 135, 138, 152, 176, 166, 84, 124, 225, 210,
-        ], kernel
+        want = golden.column()
+        assert E.image_id(image) == want.criterion_5_image_id
+        assert trace.records[-1].battery_min == want.criterion_5_battery_min
+        assert [rec.inner_steps for rec in trace.records] == golden.CRITERION_5_INNER_STEPS
 
         wins = sum(inv > base for inv, base, _, _ in pairs)
         assert wins >= 8, f"invariant beat baseline in only {wins}/10 runs"
@@ -271,7 +267,7 @@ def test_bench_sweep_report_hash(reference_model):
         _BENCH_SWEEP_SCHEDULE, _BENCH_SWEEP_BATTERY,
     )
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]
-    assert digest == "3f9197f94f76e143", blas_kernel_note()
+    assert digest == golden.column().sweep_report_sha256
 
 
 def test_criterion_7_screening_contract():

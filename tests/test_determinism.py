@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import golden
 import pytest
 from helpers import random_small_model
 
@@ -90,9 +91,8 @@ def test_bits_do_not_depend_on_the_blas_thread_count():
 
 @pytest.mark.parametrize(
     "kernel, digest",
-    # numpy 2.4.6 with OpenBLAS 0.3.31; the digests differ because the two
-    # kernels order a DGEMM's sums differently
-    [("SkylakeX", "0729806abac4b7e0"), ("Haswell", "39bd6474c8718cfb")],
+    # the digests differ because the kernels order a DGEMM's sums differently
+    sorted((kernel, column.kernel_probe_digest) for kernel, column in golden.COLUMNS.items()),
 )
 def test_bits_depend_on_the_blas_kernel(kernel, digest):
     running, got = _run(_KERNEL_PROBE, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1")

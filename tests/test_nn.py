@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import golden
 from helpers import (
-    blas_kernel_note,
     conv2d_backward_direct,
+    conv2d_input_grad_by_scatter,
     conv2d_input_grad_by_windows,
     dense_backward_direct,
     fd_input_gradient,
@@ -368,6 +369,8 @@ class TestBackward:
                 assert got.shape == want.shape, f"case {case}"
                 assert np.max(np.abs(got - want)) <= 1e-10, f"case {case}"
 
+    # a SkylakeX fact: the oracle takes its columns from another matmul than
+    # the engine's, and under Haswell 4 cases differ (README, Determinism 5)
     @pytest.mark.parametrize("n", [1, 3, 8])
     @pytest.mark.parametrize("padding", [0, 1, 2])
     @pytest.mark.parametrize("stride", [1, 2, 3, 5])
@@ -385,6 +388,28 @@ class TestBackward:
             dy = rng.normal(size=y.shape) * rng.choice([0.0, -0.0, 1.0], size=y.shape)
             dx, _ = conv.backward(dy, cache)
             want = conv2d_input_grad_by_windows(conv.weight, stride, padding, x.shape, dy)
+            _assert_same_bytes(dx, want)
+
+    @pytest.mark.parametrize(
+        "stride, padding, n",
+        [(1, 0, 1), (1, 1, 8), (2, 0, 2), (2, 3, 3), (3, 1, 8), (3, 2, 1), (4, 3, 2), (1000, 0, 1),
+         (1000, 2, 3)],
+    )
+    def test_conv_input_grad_scatters_its_columns_as_the_window_loop(self, stride, padding, n):
+        rng = np.random.default_rng(2000 + stride + 10 * padding + n)
+        for case in range(4):
+            ic, oc = int(rng.integers(1, 13)), int(rng.integers(1, 25))
+            kh, kw = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            h = int(rng.integers(kh + min(stride, 4), 20))
+            w = int(rng.integers(kw + min(stride, 4), 20))
+            conv = nn.Conv2d(weight=rng.normal(size=(oc, ic, kh, kw)), bias=np.zeros(oc),
+                             stride=stride, padding=padding)
+            x = rng.normal(size=(n, ic, h, w))
+            y, cache = conv.forward(x)
+            dy = rng.normal(size=y.shape)
+            dy[dy < 0] = 0.0  # as a ReLU mask leaves it
+            dx, _ = conv.backward(dy, cache)
+            want = conv2d_input_grad_by_scatter(conv.weight, stride, padding, x.shape, dy)
             _assert_same_bytes(dx, want)
 
     def test_conv_backward_at_a_large_stride_peaks_below_2_mb(self):
@@ -562,23 +587,21 @@ class TestBitCanary:
         model, rng = _reference_with_random_head()
         images = [np.floor(rng.uniform(0, 256, (64, 64, 3))) for _ in range(2)]
         images.append(constant_image(64, 64, 0.0))  # every pool window tied
-        assert _digest(_step_bytes(model, images, 5)) == "820219b89769ef9b", blas_kernel_note()
+        assert _digest(_step_bytes(model, images, 5)) == golden.column().reference_step_digest
 
-    @pytest.mark.parametrize(
-        "seed, digest",
-        # variant: conv-relu-pool with an odd side, a ReLU with no pool and
-        # padding 0, stride 2 into a global average
-        [(3, "b15a2f2c1b284b7c"), (0, "cab4bc48cde08809"), (1, "5a3f17caff875b3c"), (5, "c71b6623389c9874")],
-    )
-    def test_random_small_model_steps(self, seed, digest):
+    # variant: conv-relu-pool with an odd side, a ReLU with no pool and
+    # padding 0, stride 2 into a global average
+    @pytest.mark.parametrize("seed", [3, 0, 1, 5])
+    def test_random_small_model_steps(self, seed):
         model, image = random_small_model(seed)
         rng = np.random.default_rng(seed)
         images = [image] + [np.floor(rng.uniform(0, 256, image.shape)) for _ in range(3)]
-        assert _digest(_step_bytes(model, images, seed % model.num_classes)) == digest, blas_kernel_note()
+        want = golden.column().small_model_step_digests[seed]
+        assert _digest(_step_bytes(model, images, seed % model.num_classes)) == want
 
     def test_forty_step_optimization_image_id(self):
         model, _ = _reference_with_random_head()
         config = OptimConfig(q_target=0.999999, max_inner_steps=40)
         image, steps = optimize_to_confidence(model, constant_image(64, 64, 0.0), 2, config)
         assert steps == 40
-        assert image_id(image) == "3a3ed164e42500a1", blas_kernel_note()
+        assert image_id(image) == golden.FORTY_STEP_IMAGE_ID

@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import golden
+
 from tivis.errors import PpmTruncatedError
 from tivis.ppm import write_ppm
 from tivis.shapes import (
@@ -27,9 +29,8 @@ def test_same_seed_bit_identical():
 
 def test_reference_dataset_bits_are_golden(reference_dataset):
     # the reference training's inputs; a change breaks the reference model's bits
-    assert hashlib.sha256(reference_dataset.images.tobytes()).hexdigest() == (
-        "562f3bc9f3dddc5dcd547a826d017cda46540c27d2147a61d96310af21b9828a"
-    )
+    digest = hashlib.sha256(reference_dataset.images.tobytes()).hexdigest()
+    assert digest == golden.REFERENCE_DATASET_SHA256
 
 
 def test_different_seed_differs():

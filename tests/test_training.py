@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import blas_kernel_note, one_blas_thread, training_split
+import golden
+from helpers import one_blas_thread, training_split
 
 from tivis import parallel, training
 from tivis.errors import TrainingDivergedError
@@ -104,6 +105,20 @@ def test_train_does_not_mutate_input_model():
     w0 = arch.layers[0].weight.copy()
     train(ds, arch, TrainConfig(epochs=1, learning_rate=0.1, batch_size=8, seed=9))
     np.testing.assert_array_equal(arch.layers[0].weight, w0)
+
+
+@pytest.mark.parametrize("run", [evaluate, lambda model, ds: train(ds, model, TrainConfig(epochs=1))])
+def test_train_and_evaluate_reject_the_same_datasets(run):
+    model = reference_architecture(1)
+    ds = _small_dataset(per_class=1)
+    empty = ShapeDataset(images=ds.images[:0], labels=ds.labels[:0], seed=3)
+    with pytest.raises(ValueError, match="dataset is empty"):
+        run(model, empty)
+    for bad in (model.num_classes, -1):
+        labels = ds.labels.copy()
+        labels[-1] = bad
+        with pytest.raises(ValueError, match=r"dataset labels must lie in \[0, 6\)"):
+            run(model, ShapeDataset(images=ds.images, labels=labels, seed=3))
 
 
 def test_config_validation():
@@ -350,8 +365,6 @@ class TestReferenceRun:
     def test_trained_model_bytes_are_golden(self, reference_run, tmp_path):
         path = tmp_path / "reference.gbxm"
         save_model(reference_run[0].model, path)
-        # recorded with numpy 2.4.6 and OpenBLAS 0.3.31 (scipy-openblas64); a
-        # change breaks the bit-reproducibility contract
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "d954df44890dfc54a118b940845ab037005e75867c8dcc8b70b37e711ae770ec"
-        ), blas_kernel_note()
+        # a change breaks the bit-reproducibility contract
+        want = golden.column().reference_model_sha256
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want
