@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import errno
 import os
+import re
 import sys
 
 import numpy as np
@@ -182,19 +183,18 @@ def _add_run_args(p):
 
 
 def _resolve_class(model, text):
-    try:
+    # an index is ASCII decimal digits, which int() alone does not insist on
+    if text.isascii() and text.isdigit():
         return model.class_index(int(text))
-    except ValueError:
-        return model.class_index(text)
+    return model.class_index(text)
 
 
 def _load_init(model, text):
-    try:
-        gray = float(text)
-    except ValueError:
+    # a gray level is ASCII digits[.digits], which float() alone does not insist on
+    if not re.fullmatch(r"[0-9]+(\.[0-9]+)?", text):
         return read_ppm(text)
     _, h, w = model.input_shape
-    return constant_image(h, w, entropy_mod.check_gray_level(gray))
+    return constant_image(h, w, entropy_mod.check_gray_level(float(text)))
 
 
 def _int_fields(flag: str, text: str) -> list:

@@ -4,7 +4,9 @@ Six grayscale shape classes rendered on 64x64x3 canvases with randomized
 position, rotation, scale, and foreground/background gray levels. Every
 sample is drawn from its own PRNG stream derived from (seed, class, index),
 so generation is order-independent and a fixed seed reproduces the dataset
-bit for bit.
+bit for bit. Every pixel has R = G = B, so a generated dataset stores one
+uint8 gray plane per image and its images are a read-only (N, H, W, 3) view
+of that plane; a loaded one may be in colour and is a full array.
 
 Rasterization is hard-edged: a pixel is foreground exactly when its integer
 coordinate point (x=column, y=row) satisfies the shape's membership test.
@@ -34,11 +36,14 @@ _FG_MIN = 150  # foreground gray in [_FG_MIN, 255]
 
 _STREAM_SAMPLE = 11
 
-_GRID = np.mgrid[0:IMAGE_SIZE, 0:IMAGE_SIZE].astype(np.float64)  # (y, x) of each pixel
-_GRID.flags.writeable = False
+# each pixel's row (a column vector) and column (a row vector); the membership
+# tests broadcast them, with the bits of a full (y, x) grid
+_Y = np.arange(IMAGE_SIZE, dtype=np.float64)[:, None]
+_X = np.arange(IMAGE_SIZE, dtype=np.float64)[None, :]
+_Y.flags.writeable = _X.flags.writeable = False
 
-# 6,000 images, about 74 MB as uint8; `tivis train` at this count for one
-# epoch peaks at about 107 MiB (2 CPUs, numpy 2.4.6)
+# 6,000 images, about 25 MB as one uint8 gray plane; `tivis train` at this
+# count for one epoch peaks at about 60 MiB (2 CPUs, numpy 2.4.6)
 MAX_COUNT_PER_CLASS = 1000
 
 
@@ -57,7 +62,9 @@ class ShapeParams:
 
 @dataclass
 class ShapeDataset:
-    images: np.ndarray  # (N, H, W, 3) uint8: display units, all integers in [0, 255]
+    # (N, H, W, 3) uint8: display units, all integers in [0, 255]; generate_dataset
+    # gives a read-only view of one gray plane, load_dataset a full array
+    images: np.ndarray
     labels: np.ndarray  # (N,) int64
     seed: int
     class_names: tuple = CLASS_NAMES
@@ -83,22 +90,24 @@ def shape_params(seed: int, class_index: int, sample_index: int) -> ShapeParams:
 
 def render_shape(params: ShapeParams) -> np.ndarray:
     """Rasterize one sample to an (IMAGE_SIZE, IMAGE_SIZE, 3) display-unit buffer."""
-    y, x = _GRID
-    dx = x - params.cx
-    dy = y - params.cy
+    img = np.full((IMAGE_SIZE, IMAGE_SIZE, 3), float(params.bg))
+    img[_mask(params)] = float(params.fg)
+    return img
+
+
+def _mask(params: ShapeParams) -> np.ndarray:
+    """The (IMAGE_SIZE, IMAGE_SIZE) bool foreground of one sample."""
+    dx = _X - params.cx
+    dy = _Y - params.cy
     r = params.radius
     name = CLASS_NAMES[params.class_index]
     if name == "disk":
-        mask = dx * dx + dy * dy <= r * r
-    else:
-        rad = math.radians(params.angle_deg)
-        c, s = math.cos(rad), math.sin(rad)
-        u = c * dx + s * dy
-        v = -s * dx + c * dy
-        mask = _membership(name, u, v, r)
-    img = np.full((IMAGE_SIZE, IMAGE_SIZE, 3), float(params.bg))
-    img[mask] = float(params.fg)
-    return img
+        return dx * dx + dy * dy <= r * r
+    rad = math.radians(params.angle_deg)
+    c, s = math.cos(rad), math.sin(rad)
+    u = c * dx + s * dy
+    v = -s * dx + c * dy
+    return _membership(name, u, v, r)
 
 
 def _membership(name: str, u: np.ndarray, v: np.ndarray, r: float) -> np.ndarray:
@@ -132,15 +141,18 @@ def _membership(name: str, u: np.ndarray, v: np.ndarray, r: float) -> np.ndarray
 
 
 def generate_dataset(seed: int, count_per_class: int) -> ShapeDataset:
-    """Balanced dataset: count_per_class samples of each of the 6 classes."""
+    """Balanced dataset: count_per_class samples of each of the 6 classes,
+    whose images are a read-only view of one uint8 gray plane per sample."""
     if not 1 <= count_per_class <= MAX_COUNT_PER_CLASS:
         raise ValueError(
             f"count_per_class must be in [1, {MAX_COUNT_PER_CLASS}], got {count_per_class}"
         )
     labels = np.repeat(np.arange(len(CLASS_NAMES), dtype=np.int64), count_per_class)
-    images = np.empty((len(labels), IMAGE_SIZE, IMAGE_SIZE, 3), dtype=np.uint8)
+    plane = np.empty((len(labels), IMAGE_SIZE, IMAGE_SIZE, 1), dtype=np.uint8)
     for pos, label in enumerate(labels):
-        images[pos] = render_shape(shape_params(seed, int(label), pos % count_per_class))
+        p = shape_params(seed, int(label), pos % count_per_class)
+        plane[pos, :, :, 0] = np.where(_mask(p), np.uint8(p.fg), np.uint8(p.bg))
+    images = np.broadcast_to(plane, (len(labels), IMAGE_SIZE, IMAGE_SIZE, 3))
     return ShapeDataset(images=images, labels=labels, seed=seed)
 
 

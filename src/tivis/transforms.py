@@ -225,7 +225,11 @@ def rotation_sweep(step_degrees: float) -> tuple:
         raise ValueError(f"sweep step must be finite and positive, got {step_degrees}")
     if 360.0 / step_degrees > MAX_TRANSFORMS:
         raise ValueError(f"sweep step {step_degrees} gives more than {MAX_TRANSFORMS} rotations")
-    count = int(math.ceil(360.0 / step_degrees))
+    # the k with k * step below 360; a count from the rounded quotient 360 / step
+    # can be one off either way
+    count = 0
+    while count * step_degrees < 360.0:
+        count += 1
     return tuple(TransformSpec.rotation(k * step_degrees) for k in range(count))
 
 

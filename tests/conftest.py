@@ -1,3 +1,4 @@
+import resource
 import sys
 import time
 from pathlib import Path
@@ -24,8 +25,15 @@ def pytest_report_header(config):
 
 
 def pytest_terminal_summary(terminalreporter, config):
+    # a memory regression shows in every run: the peak RSS of this process and
+    # of its largest waited-for child (ru_maxrss is in KiB on Linux)
+    own, child = (resource.getrusage(who).ru_maxrss / 1024
+                  for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    peak = f"peak RSS {own:.1f} MiB, largest child {child:.1f} MiB"
     if config.get_verbosity() < 0:  # -q hides the header
-        terminalreporter.write_line(pytest_report_header(config))
+        terminalreporter.write_line(f"{pytest_report_header(config)}, {peak}")
+    else:
+        terminalreporter.write_line(f"tivis: {peak}")
 
 
 @pytest.fixture(scope="session")

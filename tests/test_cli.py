@@ -385,6 +385,40 @@ def test_bad_integer_field_names_its_flag(tmp_path, confident_model_file, sample
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["1_0", "\u0663", "+5", " 5", "5.", ".5", "1e2", "nan"])
+def test_init_is_a_gray_level_only_in_ascii_decimal(tmp_path, monkeypatch, confident_model_file,
+                                                    capsys, value):
+    # float() takes each of these; any value but ASCII digits[.digits] is a PPM path
+    monkeypatch.chdir(tmp_path)
+    argv = ["baseline", "--model", str(confident_model_file), "--class", "beta", "--battery", "rot:0"]
+    code = main(argv + ["--init", value, "--out", "b.ppm"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: FileNotFoundError: [Errno 2] No such file or directory: {value!r}\n"
+    )
+    assert not (tmp_path / "b.ppm").exists()
+
+
+def test_init_that_float_takes_reads_its_ppm(tmp_path, monkeypatch, confident_model_file, sample_ppm):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "1_0").write_bytes(sample_ppm.read_bytes())
+    argv = ["visualize", "--model", str(confident_model_file), "--class", "beta", "--init", "1_0"]
+    assert main(argv + ["--schedule", "rot:90", "--battery", "rot:0", "--out", "v.ppm"]) == 0
+    # converged at once: the output is the init
+    np.testing.assert_array_equal(read_ppm(tmp_path / "v.ppm"), read_ppm(sample_ppm))
+
+
+@pytest.mark.parametrize("value", ["\u0661", "+1", " 1", "1 "])
+def test_class_is_an_index_only_in_ascii_digits(tmp_path, confident_model_file, capsys, value):
+    # int() takes each of these as index 1; any value but ASCII digits is a class name
+    out = tmp_path / "b.ppm"
+    argv = ["baseline", "--model", str(confident_model_file), "--battery", "rot:0", "--out", str(out)]
+    code = main(argv + ["--class", value])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: InvalidClassError: unknown class name {value!r}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [

@@ -7,17 +7,21 @@ import pytest
 
 import golden
 
+from tivis import parallel
 from tivis.errors import PpmTruncatedError
+from tivis.model_io import save_model
 from tivis.ppm import write_ppm
 from tivis.shapes import (
     CLASS_NAMES,
     MAX_COUNT_PER_CLASS,
+    ShapeDataset,
     generate_dataset,
     load_dataset,
     render_shape,
     save_dataset,
     shape_params,
 )
+from tivis.training import TrainConfig, reference_architecture, train
 
 
 def test_same_seed_bit_identical():
@@ -73,13 +77,38 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
-def test_generate_and_load_peak_below_two_bytes_per_value(tmp_path):
-    # the uint8 array is one byte per value; a float64 one alone would be 8
+def test_generate_peak_below_half_a_byte_per_value():
+    # one uint8 gray plane is a third of a byte per value; a full (N, H, W, 3)
+    # uint8 array alone would be one
     ds, peak = _peak_bytes(lambda: generate_dataset(1, 20))
-    assert peak < 2 * ds.images.size
-    save_dataset(ds, tmp_path / "ds")
+    assert peak < ds.images.size / 2
+
+
+def test_load_peak_below_two_bytes_per_value(tmp_path):
+    # the uint8 array is one byte per value; a float64 one alone would be 8
+    save_dataset(generate_dataset(1, 20), tmp_path / "ds")
     loaded, peak = _peak_bytes(lambda: load_dataset(tmp_path / "ds"))
     assert peak < 2 * loaded.images.size
+
+
+def test_generated_images_are_read_only():
+    ds = generate_dataset(1, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        ds.images[0, 0, 0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        ds.images[3] += 1
+
+
+def test_gray_plane_and_full_array_train_to_the_same_bits(monkeypatch, tmp_path):
+    # training reads rows through the view; a full copy gives the same model bytes
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
+    ds = generate_dataset(16, 4)
+    full = ShapeDataset(images=np.array(ds.images), labels=ds.labels, seed=ds.seed)
+    assert full.images.flags.writeable and full.images.strides[-1] == 1
+    cfg = TrainConfig(epochs=1, batch_size=5, seed=16)
+    for name, dataset in (("plane", ds), ("full", full)):
+        save_model(train(dataset, reference_architecture(16), cfg).model, tmp_path / name)
+    assert (tmp_path / "plane").read_bytes() == (tmp_path / "full").read_bytes()
 
 
 def test_images_are_two_level_integer_buffers():

@@ -230,6 +230,17 @@ class TestSpecsAndSchedules:
         assert battery[0].angle == 0.0 and battery[-1].angle == 350.0
         assert len(T.parse_transform_list("rot-sweep:0.1")) == T.MAX_TRANSFORMS
 
+    def test_rotation_sweep_counts_the_multiples_below_360(self):
+        # a count from the rounded quotient 360 / step gives 360/227 a 228th rotation, of 360.0
+        for n in range(1, 401):
+            step = 360 / n
+            battery = T.parse_transform_list(f"rot-sweep:{step!r}")
+            angles = [s.angle for s in battery]
+            assert angles == [k * step for k in range(len(angles))], n
+            assert angles[-1] < 360.0 <= len(angles) * step, n
+        assert len(T.parse_transform_list("rot-sweep:10")) == 36
+        assert T.parse_transform_list(f"rot-sweep:{360 / 161!r}")[-1].angle == 359.99999999999994
+
     def test_default_schedule_matches_documented_text(self):
         sched = T.default_schedule()
         assert len(sched.steps) == 36
